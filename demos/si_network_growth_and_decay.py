@@ -32,7 +32,7 @@ EDGES = """
 """
 
 g = load_graph(EDGES)
-trip = dominant_eig(g.adjacency)
+trip = dominant_eig(g)
 print(f"nodes: {g.n}, dominant eigenvalue: {trip.lambda_max:.4f}")
 print("eigenvector centrality u_max:", np.round(trip.u_max, 4))
 print("degree vector d:", degree_vector(g))

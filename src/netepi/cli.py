@@ -186,6 +186,14 @@ def _parse_gammas(cfg: RunConfig) -> list[float]:
     return gammas
 
 
+def _single_gamma(cfg: RunConfig) -> float:
+    """The one --gamma value of a subcommand that takes no sweep."""
+    gammas = _parse_gammas(cfg)
+    if len(gammas) != 1:
+        raise ConfigError(f"{cfg.command} takes one --gamma value, got {cfg.gamma!r}")
+    return gammas[0]
+
+
 def _read_graph(path: str) -> Graph:
     try:
         with open(path) as fp:
@@ -313,7 +321,7 @@ def _cmd_endemic(cfg: RunConfig) -> int:
     result = equilibria.sis_endemic(
         g,
         _positive(cfg.beta, "beta"),
-        _parse_gammas(cfg)[0],
+        _single_gamma(cfg),
         tol=cfg.tol if cfg.tol is not None else equilibria.DEFAULT_TOL,
         bracket=cfg.bracket,
     )
@@ -331,7 +339,7 @@ def _cmd_asymptotic(cfg: RunConfig) -> int:
     result = equilibria.sir_asymptotic(
         g,
         _positive(cfg.beta, "beta"),
-        _parse_gammas(cfg)[0],
+        _single_gamma(cfg),
         s0=s0,
         x0=x0,
         r0=r0,
@@ -346,7 +354,7 @@ def _cmd_threshold(cfg: RunConfig) -> int:
     _require(cfg, "graph_path", "beta", "gamma")
     g = _read_graph(cfg.graph_path)
     beta = _positive(cfg.beta, "beta")
-    gamma = _parse_gammas(cfg)[0]
+    gamma = _single_gamma(cfg)
     report = threshold.reproduction_number(g, beta, gamma)
 
     if cfg.trajectory is not None:
@@ -360,7 +368,7 @@ def _cmd_threshold(cfg: RunConfig) -> int:
         buf = io.StringIO()
         threshold.write_r_series_csv(times, values, buf)
         _write_output(buf.getvalue(), cfg.rt_out)
-        tau = threshold.time_to_subthreshold(traj, g, beta, gamma)
+        tau = threshold.subthreshold_crossing(times, values)
         report = threshold.ThresholdReport(
             r0=report.r0,
             classification=report.classification,
@@ -376,7 +384,7 @@ def _cmd_scalar(cfg: RunConfig) -> int:
     _require(cfg, "model", "beta")
     kind = ModelKind(cfg.model)
     beta = _positive(cfg.beta, "beta")
-    gamma = None if kind is ModelKind.SI else _parse_gammas(cfg)[0]
+    gamma = None if kind is ModelKind.SI else _single_gamma(cfg)
 
     if kind is ModelKind.SIR:
         if cfg.s0 is None:
@@ -392,8 +400,9 @@ def _cmd_scalar(cfg: RunConfig) -> int:
         return EXIT_OK
 
     _require(cfg, "x0", "t_end")
-    dt = cfg.dt if cfg.dt is not None else _positive(cfg.t_end, "t_end") / 200.0
-    grid = np.arange(0.0, cfg.t_end + 0.5 * dt, dt)
+    t_end = _positive(cfg.t_end, "t_end")
+    dt = _positive(cfg.dt, "dt") if cfg.dt is not None else t_end / 200.0
+    grid = np.arange(0.0, t_end + 0.5 * dt, dt)
     if kind is ModelKind.SI:
         values = scalar.si_closed_form(cfg.x0, beta, grid)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError
-from .graph import Graph, degree_vector, require_strongly_connected
+from .graph import Graph
 from .scalar import ModelKind
 from .spectral import dominant_eig
 
@@ -119,9 +119,8 @@ class Trajectory:
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):
     """Time derivatives (ds, dx, dr) of the network model at a state."""
-    a = g.adjacency
     x = state.x
-    force = a @ x
+    force = g.matvec(x)
     if params.kind is ModelKind.SI:
         dx = params.beta * (1.0 - x) * force
         return -dx, dx, np.zeros_like(dx)
@@ -133,20 +132,20 @@ def rhs(state: EpidemicState, params: ModelParams, g: Graph):
     return -flow, dx, params.gamma * x
 
 
-def _field(params: ModelParams, a: np.ndarray):
+def _field(params: ModelParams, g: Graph):
     """Vector field on the packed working vector (x for SI/SIS, [s x r] for SIR)."""
-    beta = params.beta
+    beta, matvec = params.beta, g.matvec
     if params.kind is ModelKind.SI:
-        return lambda x: beta * (1.0 - x) * (a @ x)
+        return lambda x: beta * (1.0 - x) * matvec(x)
     if params.kind is ModelKind.SIS:
         gamma = params.gamma
-        return lambda x: beta * (1.0 - x) * (a @ x) - gamma * x
+        return lambda x: beta * (1.0 - x) * matvec(x) - gamma * x
     gamma = params.gamma
-    n = a.shape[0]
+    n = g.n
 
     def f(y):
         s, x = y[:n], y[n : 2 * n]
-        flow = beta * s * (a @ x)
+        flow = beta * s * matvec(x)
         return np.concatenate((-flow, flow - gamma * x, gamma * x))
 
     return f
@@ -186,10 +185,9 @@ def integrate(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    a = g.adjacency
     if state0.n != g.n:
         raise ValueError("state and graph dimensions differ")
-    f = _field(params, a)
+    f = _field(params, g)
     if params.kind is ModelKind.SIR:
         y = np.concatenate((state0.s, state0.x, state0.r))
     else:
@@ -208,14 +206,17 @@ def integrate(
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        if np.any(np.isnan(y)):
-            raise InvariantViolationError(f"NaN in state at t = {k * dt:.6g}")
-        excursion = max(y.max() - 1.0, -y.min(), 0.0)
-        if excursion >= EXCURSION_TOL:
-            raise InvariantViolationError(
-                f"state left [0, 1] by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
-            )
-        np.clip(y, 0.0, 1.0, out=y)
+        # Inside the box clip is a no-op; a NaN fails both comparisons.
+        lo, hi = y.min(), y.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            if np.any(np.isnan(y)):
+                raise InvariantViolationError(f"NaN in state at t = {k * dt:.6g}")
+            excursion = max(hi - 1.0, -lo, 0.0)
+            if excursion >= EXCURSION_TOL:
+                raise InvariantViolationError(
+                    f"state left [0, 1] by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
+                )
+            np.clip(y, 0.0, 1.0, out=y)
 
         if k % record_every == 0 or k == n_steps:
             times.append(k * dt)
@@ -252,9 +253,8 @@ def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.nda
     x(t) ~ e^{rate t} (v'x0 / v'u) u, with rate beta*lambda_max for SI and
     beta*lambda_max - gamma for SIS/SIR (near the disease-free state).
     """
-    require_strongly_connected(g)
     x0 = np.asarray(x0, dtype=float)
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     rate = params.beta * trip.lambda_max
     if params.kind is not ModelKind.SI:
         rate -= params.gamma
@@ -282,11 +282,6 @@ def late_time_decay_rates(traj: Trajectory, window: tuple[float, float]) -> np.n
         raise ValueError("susceptible fraction hit zero inside the window")
     coeffs = np.polyfit(traj.times[mask], np.log(sw), 1)
     return coeffs[0]
-
-
-def expected_decay_rates(g: Graph, beta: float) -> np.ndarray:
-    """The -beta * d_i slopes that late_time_decay_rates approximates."""
-    return -beta * degree_vector(g)
 
 
 # --- trajectory CSV (t, s_1..s_n, x_1..x_n, r_1..r_n) ----------------------

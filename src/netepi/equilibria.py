@@ -104,10 +104,10 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
 
     Its fixed points in [0, 1]^n are exactly the SIS equilibria.
     """
-    scaled = (beta / gamma) * g.adjacency
+    scaled = g.with_weights((beta / gamma) * g.weights)
 
     def f(y):
-        z = scaled @ y
+        z = scaled.matvec(y)
         return z / (1.0 + z)
 
     return f
@@ -141,8 +141,7 @@ def sis_endemic(
     satisfying one of the bracket bounds, since those are the starts for
     which monotone convergence is guaranteed.
     """
-    require_strongly_connected(g)
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     r0 = beta * trip.lambda_max / gamma
     if r0 <= 1.0:
         raise BelowThresholdError(
@@ -197,8 +196,7 @@ def sis_endemic_expansion_threshold(g: Graph, beta: float, gamma: float) -> np.n
 
     The error of this expansion is O(delta^2) with delta = R0 - 1.
     """
-    require_strongly_connected(g)
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     delta = beta * trip.lambda_max / gamma - 1.0
     if delta < 0:
         raise BelowThresholdError(f"R0 = {delta + 1.0:.6g} < 1: expansion does not apply")
@@ -229,11 +227,11 @@ def sir_fixed_point_map(g: Graph, beta: float, gamma: float, s0, r0):
     """
     s0 = np.asarray(s0, dtype=float)
     r0 = np.asarray(r0, dtype=float)
-    scaled = (beta / gamma) * g.adjacency
-    offset = scaled @ (r0 - 1.0)
+    scaled = g.with_weights((beta / gamma) * g.weights)
+    offset = scaled.matvec(r0 - 1.0)
 
     def h(y):
-        return s0 * np.exp(scaled @ y + offset)
+        return s0 * np.exp(scaled.matvec(y) + offset)
 
     return h
 

@@ -4,39 +4,93 @@ The adjacency convention follows the contact-direction used throughout the
 package: entry ``a[i, j]`` is the contact strength from node j to node i,
 so row i collects everything that can infect node i. Edge-list text uses
 1-based indices; in memory everything is 0-based.
+
+A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
+canonical row-major order, so every product with the adjacency matrix costs
+O(n + nnz). The dense matrix is built only when ``adjacency`` is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyInputError, GraphFormatError, ReducibleMatrixError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
-    """Immutable weighted digraph held as a dense nonnegative matrix."""
+    """Immutable weighted digraph held as edge arrays; a[i, j] weighs edge j -> i.
 
-    adjacency: np.ndarray
+    ``Graph(dense_matrix)`` converts a square nonnegative matrix;
+    ``load_graph`` builds the edge arrays directly from edge-list text.
+    """
 
-    def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+    n: int
+    rows: np.ndarray  # target node i of each edge, non-decreasing
+    cols: np.ndarray  # source node j, increasing within a row
+    weights: np.ndarray  # a[i, j], nonnegative
+
+    def __init__(self, adjacency):
+        a = np.asarray(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise GraphFormatError(f"adjacency must be square, got shape {a.shape}")
         if a.shape[0] < 1:
             raise GraphFormatError("graph needs at least one node")
-        if not np.all(np.isfinite(a)):
-            raise GraphFormatError("adjacency entries must be finite")
-        if np.any(a < 0):
-            raise GraphFormatError("adjacency entries must be nonnegative")
-        a.setflags(write=False)
-        object.__setattr__(self, "adjacency", a)
+        _check_weights(a)
+        rows, cols = np.nonzero(a)
+        self._set(a.shape[0], rows, cols, a[rows, cols])
+
+    def _set(self, n, rows, cols, weights) -> None:
+        for name, value in (("rows", rows), ("cols", cols), ("weights", weights)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", int(n))
+
+    def with_weights(self, weights) -> Graph:
+        """The same edges with new nonnegative weights, one per edge."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != self.weights.shape:
+            raise ValueError(f"need {self.nnz} weights, got shape {weights.shape}")
+        _check_weights(weights)
+        return _edge_graph(self.n, self.rows, self.cols, weights)
 
     @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
+    def nnz(self) -> int:
+        return self.weights.shape[0]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x in O(n + nnz)."""
+        return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.n)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """A.T @ x in O(n + nnz)."""
+        return np.bincount(self.cols, self.weights * x[self.rows], minlength=self.n)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only dense n x n matrix, built on first access (small n, tests)."""
+        a = np.zeros((self.n, self.n))
+        a[self.rows, self.cols] = self.weights
+        a.setflags(write=False)
+        return a
+
+
+def _edge_graph(n, rows, cols, weights) -> Graph:
+    """Graph from edge arrays that are already validated and canonical."""
+    g = object.__new__(Graph)
+    g._set(n, rows, cols, weights)
+    return g
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if not np.all(np.isfinite(w)):
+        raise GraphFormatError("adjacency entries must be finite")
+    if np.any(w < 0):
+        raise GraphFormatError("adjacency entries must be nonnegative")
 
 
 def load_graph(edge_list_text: str) -> Graph:
@@ -48,7 +102,7 @@ def load_graph(edge_list_text: str) -> Graph:
     '#' and blank lines are ignored. Duplicate (i, j) pairs are an error.
     """
     header_n = None
-    edges = []  # (i, j, w, line_no)
+    rows, cols, weights, line_nos = [], [], [], []
     for line_no, raw in enumerate(edge_list_text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -57,7 +111,7 @@ def load_graph(edge_list_text: str) -> Graph:
         if parts[0] == "n":
             if header_n is not None:
                 raise GraphFormatError(f"line {line_no}: duplicate header")
-            if edges:
+            if rows:
                 raise GraphFormatError(f"line {line_no}: header must precede edges")
             if len(parts) != 2:
                 raise GraphFormatError(f"line {line_no}: header must be 'n <count>'")
@@ -77,39 +131,50 @@ def load_graph(edge_list_text: str) -> Graph:
             raise GraphFormatError(f"line {line_no}: expected 'i j w', got {line!r}") from None
         if i < 1 or j < 1:
             raise GraphFormatError(f"line {line_no}: indices are 1-based, got {i} {j}")
-        if not np.isfinite(w) or w <= 0:
+        if not math.isfinite(w) or w <= 0:
             raise GraphFormatError(f"line {line_no}: weight must be positive, got {parts[2]}")
-        edges.append((i, j, w, line_no))
+        rows.append(i - 1)
+        cols.append(j - 1)
+        weights.append(w)
+        line_nos.append(line_no)
 
-    if not edges:
+    if not rows:
         raise EmptyInputError("no edges in input")
 
-    max_index = max(max(i, j) for i, j, _, _ in edges)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    max_index = int(max(rows.max(), cols.max())) + 1
     if header_n is not None and max_index > header_n:
-        bad = next(ln for i, j, _, ln in edges if max(i, j) > header_n)
-        raise GraphFormatError(f"line {bad}: index exceeds declared node count {header_n}")
+        bad = np.nonzero(np.maximum(rows, cols) >= header_n)[0][0]
+        raise GraphFormatError(
+            f"line {line_nos[bad]}: index exceeds declared node count {header_n}"
+        )
     n = header_n if header_n is not None else max_index
 
-    a = np.zeros((n, n))
-    seen = set()
-    for i, j, w, line_no in edges:
-        if (i, j) in seen:
-            raise GraphFormatError(f"line {line_no}: duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        a[i - 1, j - 1] = w
-    return Graph(a)
+    # Stable row-major sort; every occurrence of a pair after its first
+    # sorts right behind an equal key.
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][np.diff(keys[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        raise GraphFormatError(
+            f"line {line_nos[k]}: duplicate edge ({rows[k] + 1}, {cols[k] + 1})"
+        )
+    return _edge_graph(n, rows[order], cols[order], np.array(weights)[order])
 
 
 def dump_graph(g: Graph) -> str:
     """Serialize a Graph back to edge-list text (exact round trip).
 
     Weights are written with repr so load_graph(dump_graph(g)) reproduces
-    the adjacency matrix bit for bit.
+    the adjacency matrix bit for bit. Zero-weight edges are not edges and
+    are left out.
     """
     lines = [f"n {g.n}"]
-    rows, cols = np.nonzero(g.adjacency)
-    for i, j in zip(rows, cols):
-        lines.append(f"{i + 1} {j + 1} {float(g.adjacency[i, j])!r}")
+    keep = g.weights > 0
+    for i, j, w in zip(g.rows[keep].tolist(), g.cols[keep].tolist(), g.weights[keep].tolist()):
+        lines.append(f"{i + 1} {j + 1} {w!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -127,25 +192,33 @@ def is_strongly_connected(g: Graph) -> bool:
 
     Equivalently, the adjacency matrix is irreducible. For n = 1 this
     requires a positive self-loop (the 1x1 zero matrix is reducible).
+    Costs O(n + nnz): one graph search forward and one backward from node 0.
     """
-    a = g.adjacency
-    n = g.n
-    if n == 1:
-        return a[0, 0] > 0
-    # a[i, j] > 0 is an edge j -> i: forward reachability follows columns.
-    return _reaches_all(a.T > 0) and _reaches_all(a > 0)
+    positive = g.weights > 0
+    if g.n == 1:
+        return bool(positive.any())
+    targets, sources = g.rows[positive], g.cols[positive]
+    # a[i, j] > 0 is an edge j -> i: forward reachability goes source -> target.
+    return _reaches_all(g.n, sources, targets) and _reaches_all(g.n, targets, sources)
 
 
-def _reaches_all(out_edges: np.ndarray) -> bool:
-    """BFS from node 0 over the boolean out-edge matrix; True if all reached."""
-    n = out_edges.shape[0]
-    visited = np.zeros(n, dtype=bool)
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """Search from node 0 along the edges tails[k] -> heads[k]; True if all reached."""
+    order = np.argsort(tails, kind="stable")
+    start = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n)))).tolist()
+    out = heads[order].tolist()
+    visited = [False] * n
     visited[0] = True
-    frontier = visited.copy()
-    while frontier.any():
-        frontier = out_edges[frontier].any(axis=0) & ~visited
-        visited |= frontier
-    return bool(visited.all())
+    reached = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in out[start[v] : start[v + 1]]:
+            if not visited[w]:
+                visited[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == n
 
 
 def require_strongly_connected(g: Graph) -> None:
@@ -158,4 +231,4 @@ def require_strongly_connected(g: Graph) -> None:
 
 def degree_vector(g: Graph) -> np.ndarray:
     """Row sums d = A @ 1; diag(d) is the degree matrix."""
-    return g.adjacency.sum(axis=1)
+    return np.bincount(g.rows, g.weights, minlength=g.n)

@@ -2,9 +2,11 @@
 
 Everything here is powered by shifted power iteration: for an irreducible
 matrix with an all-zero diagonal (e.g. bipartite contact graphs) plain power
-iteration can oscillate between periodic classes, so we iterate on m + I and
-subtract the shift from the reported eigenvalue. The shift is skipped when
-the diagonal already has a positive entry (the matrix is then aperiodic).
+iteration can oscillate between periodic classes, so we iterate on m + cI
+and subtract the shift c from the reported eigenvalue. The shift is skipped
+when the diagonal already has a positive entry (the matrix is then
+aperiodic). Matrices are Graphs, so each iteration costs one O(n + nnz)
+product; a dense matrix argument is converted to a Graph once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
-from .graph import Graph, require_strongly_connected
+from .graph import Graph, degree_vector, require_strongly_connected
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -29,22 +31,28 @@ class SpectralTriple:
     u_max: np.ndarray  # right: A u  = lambda u
 
 
-def _shift_for(m: np.ndarray) -> float:
-    # A positive diagonal entry already breaks periodicity.
-    return 0.0 if np.any(np.diag(m) > 0) else 1.0
+def _as_graph(m) -> Graph:
+    """A Graph passes through; a dense nonnegative matrix is converted once."""
+    if isinstance(m, Graph):
+        return m
+    m = np.asarray(m, dtype=float)
+    if np.any(m < 0):
+        raise ValueError("matrix must be nonnegative")
+    return Graph(m)
 
 
-def _scaled_shift_for(m: np.ndarray) -> float:
-    """Shift proportional to the matrix scale.
+def _shift_for(g: Graph) -> float:
+    """Shift proportional to the matrix scale; zero if the diagonal is positive.
 
-    A fixed unit shift would swamp matrices with tiny spectral radius (late
-    SIR states give diag(s) A close to zero) and collapse the relative
-    spectral gap of the shifted matrix; half the largest row sum keeps the
-    gap, and therefore the iteration count, scale-invariant.
+    A positive diagonal entry already breaks periodicity. Otherwise a fixed
+    unit shift would swamp matrices with tiny spectral radius (late SIR
+    states give diag(s) A close to zero) and collapse the relative spectral
+    gap of the shifted matrix; half the largest row sum keeps the gap, and
+    therefore the iteration count, scale-invariant.
     """
-    if np.any(np.diag(m) > 0):
+    if np.any(g.weights[g.rows == g.cols] > 0):
         return 0.0
-    return float(m.sum(axis=1).max()) / 2.0
+    return float(degree_vector(g).max()) / 2.0
 
 
 def _prepare_start(n: int, start) -> np.ndarray:
@@ -60,26 +68,30 @@ def _prepare_start(n: int, start) -> np.ndarray:
     return x
 
 
-def _power_iteration(m, shift, tol, max_iter, start=None, relative_to_shifted=False):
-    """Iterate x -> (m + shift I) x / ||.||_1 until the eigen-residual passes tol.
+def _power_iteration(product, n, shift, tol, max_iter, start=None, entrywise=False):
+    """Iterate x -> (product(x) + shift x) / ||.||_1 until the eigen-residual passes tol.
 
-    Returns (lambda_of_m, x, iterations). The residual test is
-    ||M x - lambda_M x||_inf <= tol * lambda, with lambda the eigenvalue of m
-    itself, or of the shifted matrix when relative_to_shifted is set (the
-    latter stays well-defined when the spectral radius of m is zero).
+    product is x -> M x for a nonnegative n x n matrix M. Returns
+    (lambda_of_M, x, iterations). The residual r = M x - lambda x must
+    satisfy ||r||_inf <= tol * (lambda + shift), relative to the eigenvalue
+    of the shifted matrix, which stays well-defined when the spectral radius
+    of M is zero. With entrywise set (M irreducible, so x > 0) the test is
+    |r_i| <= tol * lambda * x_i at every entry instead: it bounds the
+    relative error of the smallest entries too.
     """
-    n = m.shape[0]
-    m_shifted = m + shift * np.eye(n) if shift else m
     x = _prepare_start(n, start)
     for it in range(1, max_iter + 1):
-        y = m_shifted @ x
+        y = product(x) + shift * x
         lam_shifted = y.sum()  # equals ||y||_1 for nonnegative y, unit-1-norm x
         lam = lam_shifted - shift
-        residual = np.abs(y - lam_shifted * x).max()
-        target = lam_shifted if relative_to_shifted else lam
-        if target > 0 and residual <= tol * target:
+        residual = np.abs(y - lam_shifted * x)
+        if entrywise:
+            converged = lam > 0 and np.all(residual <= (tol * lam) * x)
+        else:
+            converged = lam_shifted > 0 and residual.max() <= tol * lam_shifted
+        if converged:
             return lam, x / x.sum(), it
-        if lam_shifted <= 0:  # m annihilates x entirely: spectral radius 0
+        if lam_shifted <= 0:  # M annihilates x entirely: spectral radius 0
             return 0.0, x, it
         x = y / lam_shifted
     raise NonConvergenceError(
@@ -88,33 +100,29 @@ def _power_iteration(m, shift, tol, max_iter, start=None, relative_to_shifted=Fa
 
 
 def dominant_eig(
-    m: np.ndarray,
+    m: Graph | np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    check_irreducible: bool = True,
 ) -> SpectralTriple:
     """Dominant eigenvalue and left/right eigenvectors of an irreducible matrix.
 
-    Runs shifted power iteration on m (for u_max) and on its transpose (for
-    v_max), both from the uniform start vector. Raises ReducibleMatrixError
-    if the irreducibility pre-check fails and NonConvergenceError if the
-    iteration budget runs out.
+    m is a Graph or a dense nonnegative matrix. Runs shifted power iteration
+    on m (for u_max) and on its transpose (for v_max), both from the uniform
+    start vector. Raises ReducibleMatrixError if m is reducible and
+    NonConvergenceError if the iteration budget runs out.
     """
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 0):
-        raise ValueError("matrix must be nonnegative")
-    if check_irreducible:
-        require_strongly_connected(Graph(m))
-    shift = _shift_for(m)
+    g = _as_graph(m)
+    require_strongly_connected(g)
+    shift = _shift_for(g)
     # Converge tighter than tol so both residuals hold against the single
     # reported eigenvalue.
-    lam_u, u, _ = _power_iteration(m, shift, tol / 4, max_iter)
-    _, v, _ = _power_iteration(m.T, shift, tol / 4, max_iter)
+    lam_u, u, _ = _power_iteration(g.matvec, g.n, shift, tol / 4, max_iter, entrywise=True)
+    _, v, _ = _power_iteration(g.rmatvec, g.n, shift, tol / 4, max_iter, entrywise=True)
     return SpectralTriple(lambda_max=lam_u, v_max=v, u_max=u)
 
 
 def spectral_radius(
-    m: np.ndarray,
+    m: Graph | np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     start=None,
@@ -127,30 +135,28 @@ def spectral_radius(
     handled. Returns (lambda, right_vector); the vector is nonnegative but not
     necessarily unique and is mainly useful for warm-starting the next call.
     """
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 0):
-        raise ValueError("matrix must be nonnegative")
+    g = _as_graph(m)
     try:
         lam, x, _ = _power_iteration(
-            m, _scaled_shift_for(m), tol, max_iter, start=start, relative_to_shifted=True
+            g.matvec, g.n, _shift_for(g), tol, max_iter, start=start
         )
     except NonConvergenceError:
         # Reducible matrices whose dominant block structure is defective
         # (e.g. diag(s) A with a zeroed row) make power iteration crawl;
         # fall back to a dense solve so boundary states never fail.
-        lam = float(np.abs(np.linalg.eigvals(m)).max())
-        x = np.full(m.shape[0], 1.0 / m.shape[0])
+        lam = float(np.abs(np.linalg.eigvals(g.adjacency)).max())
+        x = np.full(g.n, 1.0 / g.n)
     return lam, x
 
 
-def effective_matrix(s: np.ndarray, g: Graph) -> np.ndarray:
+def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     """diag(s) A: the contact matrix as seen by the currently susceptible."""
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n,):
         raise ValueError(f"state vector has shape {s.shape}, expected ({g.n},)")
     if np.any(s < 0) or np.any(s > 1):
         raise ValueError("state vector entries must lie in [0, 1]")
-    return s[:, None] * g.adjacency
+    return g.with_weights(s[g.rows] * g.weights)
 
 
 __all__ = [

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .graph import Graph, require_strongly_connected
+from .graph import Graph
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -51,8 +51,7 @@ def reproduction_number(g: Graph, beta: float, gamma: float) -> ThresholdReport:
     """Basic reproduction number R0 = beta * lambda_max(A) / gamma."""
     if beta <= 0 or gamma <= 0:
         raise ValueError("rates must be positive")
-    require_strongly_connected(g)
-    lam = dominant_eig(g.adjacency).lambda_max
+    lam = dominant_eig(g).lambda_max
     r0 = beta * lam / gamma
     return ThresholdReport(r0=r0, classification=_classify(r0), lambda_max=lam)
 
@@ -83,13 +82,20 @@ def effective_r_series(
 def time_to_subthreshold(
     traj: Trajectory, g: Graph, beta: float, gamma: float
 ) -> float | None:
-    """First time the effective reproduction number drops below 1.
+    """First time the trajectory's R(t) drops below 1 (see subthreshold_crossing).
 
-    Linearly interpolated between the recorded samples bracketing the
-    crossing; 0 if the trajectory starts below threshold; None if the whole
-    recorded trajectory stays at or above threshold (extend t_end and rerun).
+    None if the whole recorded trajectory stays at or above threshold
+    (extend t_end and rerun).
     """
-    times, values = effective_r_series(traj, g, beta, gamma)
+    return subthreshold_crossing(*effective_r_series(traj, g, beta, gamma))
+
+
+def subthreshold_crossing(times: np.ndarray, values: np.ndarray) -> float | None:
+    """First time a sampled R(t) series drops below 1.
+
+    Linearly interpolated between the samples bracketing the crossing; 0 if
+    the series starts below 1; None if it never drops below 1.
+    """
     below = np.nonzero(values < 1.0)[0]
     if below.size == 0:
         return None

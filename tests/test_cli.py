@@ -315,3 +315,27 @@ def test_asymptotic_json(pair_graph, capsys):
     np.testing.assert_allclose(np.array(doc["r_inf"]), 1.0 - s_inf)
     assert doc["residual"] <= 1e-10
     assert s_inf.max() < 0.05  # beta/gamma = 4 outbreak burns nearly everyone
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("endemic", []), ("asymptotic", ["--x0-uniform", "0.1"]), ("threshold", [])],
+)
+def test_single_gamma_commands_reject_a_list(pair_graph, capsys, command, extra):
+    code = main([command, "--graph", pair_graph, "--beta", "2.0", "--gamma", "0.5,5", *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "takes one --gamma value" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dt", ["-0.1", "0"])
+def test_scalar_rejects_nonpositive_dt(capsys, dt):
+    code = main(
+        ["scalar", "--model", "SIS", "--beta", "1", "--gamma", "0.5", "--x0", "0.1",
+         "--t-end", "1", "--dt", dt]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err and "dt must be positive" in captured.err
+    assert captured.out == ""

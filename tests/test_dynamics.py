@@ -178,6 +178,13 @@ def test_sir_s_decreasing_and_infection_dies():
     assert np.abs(total - 1.0).max() <= 1e-9
 
 
+def test_nan_state_raises():
+    # Overflowing products turn (1 - x) * inf into NaN within the first step.
+    g = Graph(np.array([[0.0, 1e308], [1e308, 0.0]]))
+    with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match="NaN in state"):
+        integrate(initial_state("SI", np.array([1.0, 0.5])), ModelParams("SI", 1.0), g, t_end=1.0, dt=1.0)
+
+
 def test_large_step_raises():
     g = complete_graph(4)
     with pytest.raises(InvariantViolationError):

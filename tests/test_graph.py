@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,13 @@ from hypothesis import strategies as st
 from netepi import (
     EmptyInputError,
     GraphFormatError,
+    ModelParams,
     degree_vector,
+    dominant_eig,
     dump_graph,
     graph_from_rows,
+    initial_state,
+    integrate,
     is_strongly_connected,
     load_graph,
 )
@@ -136,3 +143,133 @@ def test_strong_connectivity_matches_brute_force(n, data):
     )
     a = np.array(bits, dtype=float).reshape(n, n)
     assert is_strongly_connected(Graph(a)) == _brute_strongly_connected(a)
+
+
+# --- edge-list core ---------------------------------------------------------
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Random graphs, self-loops and n = 1 included, from edge-list text or a dense array."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True))
+    weights = draw(
+        st.lists(
+            st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
+            min_size=len(chosen),
+            max_size=len(chosen),
+        )
+    )
+    a = np.zeros((n, n))
+    for (i, j), w in zip(chosen, weights):
+        a[i - 1, j - 1] = w
+    dense = Graph(a)
+    if not chosen or draw(st.booleans()):
+        return dense
+    lines = [f"n {n}"] + [f"{i} {j} {w!r}" for (i, j), w in zip(chosen, weights)]
+    g = load_graph("\n".join(lines))
+    for name in ("rows", "cols", "weights"):
+        assert np.array_equal(getattr(g, name), getattr(dense, name))
+    return g
+
+
+@given(sparse_graphs(), st.data())
+@settings(max_examples=200)
+def test_matvec_matches_dense_products(g, data):
+    x = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n, max_size=g.n))
+    )
+    a = g.adjacency
+    # Only the summation order differs from the dense product.
+    eps = g.n * np.finfo(float).eps
+    assert np.all(np.abs(g.matvec(x) - a @ x) <= eps * (a @ np.abs(x)))
+    assert np.all(np.abs(g.rmatvec(x) - a.T @ x) <= eps * (a.T @ np.abs(x)))
+    np.testing.assert_array_equal(g.matvec(np.ones(g.n)), degree_vector(g))
+    keys = g.rows * g.n + g.cols
+    assert np.all(np.diff(keys) > 0)  # canonical row-major order, no repeats
+
+
+@given(sparse_graphs())
+@settings(max_examples=200)
+def test_dump_load_round_trip_sparse(g):
+    if g.nnz == 0:
+        with pytest.raises(EmptyInputError):
+            load_graph(dump_graph(g))
+        return
+    g2 = load_graph(dump_graph(g))
+    assert g2.n == g.n
+    for name in ("rows", "cols", "weights"):
+        assert np.array_equal(getattr(g2, name), getattr(g, name))
+
+
+def test_with_weights_and_dense_view():
+    g = two_node()
+    np.testing.assert_array_equal(g.with_weights([4.0, 1.0]).adjacency, [[0.0, 4.0], [1.0, 0.0]])
+    with pytest.raises(ValueError):
+        g.with_weights([1.0])
+    with pytest.raises(GraphFormatError):
+        g.with_weights([1.0, -1.0])
+    with pytest.raises(ValueError):
+        g.adjacency[0, 0] = 1.0  # the dense view is read-only
+
+
+def test_duplicate_edge_reports_first_repeat_line():
+    with pytest.raises(GraphFormatError, match="line 4: duplicate edge \\(2, 1\\)"):
+        load_graph("1 2 1\n2 1 1\n1 1 1\n2 1 3\n1 2 5\n")
+
+
+def _ring_text(n: int, skip_first: bool = False) -> str:
+    edges = [f"{(i + 1) % n + 1} {i + 1} 1.0" for i in range(n)]
+    return "\n".join([f"n {n}"] + edges[skip_first:]) + "\n"
+
+
+def test_directed_ring_connectivity_is_linear():
+    ring = load_graph(_ring_text(20_000))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert is_strongly_connected(ring)
+        times.append(time.perf_counter() - start)
+    # The ring has n BFS levels. On a 2-core VM the O(n + nnz) search takes
+    # about 15 ms; a search paying O(n) per level takes over a second.
+    assert min(times) < 0.25
+    assert not is_strongly_connected(load_graph(_ring_text(20_000, skip_first=True)))
+
+
+def _sparse_edge_list(n: int, degree: float, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    nodes = np.arange(n)
+    rows = np.concatenate(((nodes + 1) % n, rng.integers(0, n, int(degree * n))))
+    cols = np.concatenate((nodes, rng.integers(0, n, int(degree * n))))
+    keys = np.unique(rows * n + cols)
+    rows, cols = keys // n, keys % n
+    keep = rows != cols
+    weights = rng.uniform(0.1, 2.0, keep.sum())
+    lines = [f"n {n}"] + [
+        f"{i + 1} {j + 1} {w!r}"
+        for i, j, w in zip(rows[keep].tolist(), cols[keep].tolist(), weights.tolist())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_memory_stays_linear_in_edges():
+    text = _sparse_edge_list(5000, 5.0, seed=11)
+    tracemalloc.start()
+    try:
+        g = load_graph(text)
+        assert is_strongly_connected(g)
+        trip = dominant_eig(g)
+        integrate(
+            initial_state("SIR", np.full(g.n, 0.01)),
+            ModelParams("SIR", 2.0 / trip.lambda_max, 1.0),
+            g,
+            t_end=1e-3,
+            dt=1e-3,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.nnz > 25_000
+    # A dense 5000 x 5000 matrix alone takes 200 MB.
+    assert peak < 20e6

@@ -92,10 +92,10 @@ def test_radius_boundary_states():
 
 def test_effective_matrix():
     g = two_node()
-    np.testing.assert_array_equal(effective_matrix(np.ones(2), g), g.adjacency)
-    np.testing.assert_array_equal(effective_matrix(np.zeros(2), g), np.zeros((2, 2)))
+    np.testing.assert_array_equal(effective_matrix(np.ones(2), g).adjacency, g.adjacency)
+    np.testing.assert_array_equal(effective_matrix(np.zeros(2), g).adjacency, np.zeros((2, 2)))
     np.testing.assert_array_equal(
-        effective_matrix(np.array([0.5, 1.0]), g), [[0.0, 1.0], [8.0, 0.0]]
+        effective_matrix(np.array([0.5, 1.0]), g).adjacency, [[0.0, 1.0], [8.0, 0.0]]
     )
     with pytest.raises(ValueError):
         effective_matrix(np.array([0.5, 1.5]), g)
@@ -108,5 +108,5 @@ def test_warm_start_matches_cold_start():
     s = np.random.default_rng(4).uniform(0.3, 1.0, 10)
     m = effective_matrix(s, g)
     lam_cold, vec = spectral_radius(m)
-    lam_warm, _ = spectral_radius(m * 0.999, start=vec)
+    lam_warm, _ = spectral_radius(m.adjacency * 0.999, start=vec)
     assert lam_warm == pytest.approx(0.999 * lam_cold, rel=1e-10)
