@@ -16,7 +16,6 @@ diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import logging
@@ -67,7 +66,6 @@ class RunConfig:
     rt_out: str | None = None
     out: str | None = None
     format: str | None = None
-    jobs: int = 1
 
     # scalar-command initial fractions
     x0: float | None = None
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--dt", type=float)
     p.add_argument("--record-every", dest="record_every", type=int)
-    p.add_argument("--jobs", type=int, help="workers for a --gamma sweep")
 
     p = sub.add_parser("endemic", help="SIS endemic state (above threshold) to JSON")
     add_common(p)
@@ -261,8 +258,6 @@ def _json_text(payload: dict) -> str:
 
 def _cmd_simulate(cfg: RunConfig) -> int:
     _require(cfg, "graph_path", "model", "beta", "t_end")
-    if cfg.format == "json":
-        raise ConfigError("simulate emits trajectory CSV; use --format csv")
     kind = ModelKind(cfg.model)
     beta = _positive(cfg.beta, "beta")
     g = _read_graph(cfg.graph_path)
@@ -276,35 +271,36 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         gammas = [None]
     else:
         gammas = _parse_gammas(cfg)
-    if len(gammas) > 1 and cfg.out is None:
-        raise ConfigError("a --gamma sweep needs --out (one file per value)")
+    if len(gammas) == 1:
+        paths = [cfg.out]
+    else:
+        if cfg.out is None:
+            raise ConfigError("a --gamma sweep needs --out (one file per value)")
+        paths = [_sweep_path(cfg.out, gv) for gv in gammas]
+        if len(set(paths)) != len(paths):
+            raise ConfigError(f"--gamma {cfg.gamma} would write one file twice: {paths}")
 
-    def run_one(gamma):
-        params = dynamics.ModelParams(kind=kind, beta=beta, gamma=gamma)
-        state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
-        traj = dynamics.integrate(
+    state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
+    params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
+    steps = [cfg.dt if cfg.dt is not None else dynamics.default_step(p) for p in params]
+    t_end = _positive(cfg.t_end, "t_end")
+    trajectories = {}
+    # The runs that share a step size integrate together, one column each.
+    for dt in dict.fromkeys(steps):
+        members = [i for i, step in enumerate(steps) if step == dt]
+        runs = dynamics.integrate(
             state0,
-            params,
+            [params[i] for i in members],
             g,
-            t_end=_positive(cfg.t_end, "t_end"),
-            dt=cfg.dt,
+            t_end=t_end,
+            dt=dt,
             record_every=cfg.record_every,
         )
-        return dynamics.trajectory_csv_text(traj)
-
-    if len(gammas) == 1:
-        _write_output(run_one(gammas[0]), cfg.out)
-        return EXIT_OK
-
-    paths = [_sweep_path(cfg.out, gv) for gv in gammas]
-    if cfg.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            texts = list(pool.map(run_one, gammas))
-    else:
-        texts = [run_one(gv) for gv in gammas]
-    for path, text in zip(paths, texts):
-        _write_output(text, path)
-        logger.info("wrote %s", path)
+        trajectories.update(zip(members, runs))
+    for i, path in enumerate(paths):
+        _write_output(dynamics.trajectory_csv_text(trajectories[i]), path)
+        if len(paths) > 1:
+            logger.info("wrote %s", path)
     return EXIT_OK
 
 
@@ -412,19 +408,25 @@ def _cmd_scalar(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# Each subcommand and the one format its --out document is written in.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "endemic": _cmd_endemic,
-    "asymptotic": _cmd_asymptotic,
-    "threshold": _cmd_threshold,
-    "scalar": _cmd_scalar,
+    "simulate": (_cmd_simulate, "csv"),
+    "endemic": (_cmd_endemic, "json"),
+    "asymptotic": (_cmd_asymptotic, "json"),
+    "threshold": (_cmd_threshold, "json"),
+    "scalar": (_cmd_scalar, "csv"),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one resolved configuration; returns the process exit code."""
+    command, output_format = _COMMANDS[cfg.command]
     try:
-        return _COMMANDS[cfg.command](cfg)
+        if cfg.format not in (None, output_format):
+            raise ConfigError(
+                f"{cfg.command} writes {output_format.upper()}; use --format {output_format}"
+            )
+        return command(cfg)
     except (GraphFormatError, ReducibleMatrixError) as e:
         print(f"netepi: graph error: {e}", file=sys.stderr)
         return EXIT_GRAPH

@@ -107,7 +107,7 @@ def test_simulate_rejects_conflicting_seeds(pair_graph, capsys):
     assert "exactly one" in capsys.readouterr().err
 
 
-def test_simulate_gamma_sweep_with_jobs(g20_file, tmp_path):
+def test_simulate_gamma_sweep(g20_file, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
         [
@@ -126,8 +126,6 @@ def test_simulate_gamma_sweep_with_jobs(g20_file, tmp_path):
             "1.0",
             "--dt",
             "0.01",
-            "--jobs",
-            "2",
             "--out",
             str(out),
         ]
@@ -139,6 +137,76 @@ def test_simulate_gamma_sweep_with_jobs(g20_file, tmp_path):
         with open(path) as fp:
             traj = read_trajectory_csv(fp)
         assert traj.n == 20
+
+
+def _simulate(graph, model, gamma, out, *extra):
+    return main(
+        ["simulate", "--graph", graph, "--model", model, "--beta", "0.5", "--gamma", gamma,
+         "--x0-uniform", "0.1", "--t-end", "0.5", "--record-every", "7", "--out", str(out), *extra]
+    )
+
+
+@pytest.mark.parametrize(
+    "model, gammas, extra",
+    [
+        ("SIS", ["0.4", "0.8", "3"], ["--dt", "0.01"]),
+        ("SIR", ["0.4", "0.8", "3"], ["--dt", "0.01"]),
+        # Without --dt the step is 1e-3 / max(beta, gamma): two runs share
+        # 0.002, the others get 0.00125 and 0.0003125.
+        ("SIS", ["0.2", "0.4", "0.8", "3.2"], []),
+    ],
+)
+def test_sweep_files_equal_single_runs(g20_file, tmp_path, model, gammas, extra):
+    assert _simulate(g20_file, model, ",".join(gammas), tmp_path / "sweep.csv", *extra) == 0
+    for gv in gammas:
+        single = tmp_path / f"single{gv}.csv"
+        assert _simulate(g20_file, model, gv, single, *extra) == 0
+        assert (tmp_path / f"sweep_gamma{gv}.csv").read_bytes() == single.read_bytes()
+
+
+def test_sweep_excursion_in_one_column_exits_5(g20_file, tmp_path, capsys):
+    # gamma * dt = 4 makes RK4 overshoot the box for that column only.
+    code = _simulate(g20_file, "SIS", "0.4,400", tmp_path / "sweep.csv", "--dt", "0.01")
+    assert code == 5
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep*"))
+
+
+@pytest.mark.parametrize("gammas", ["1,1", "0.1234567,0.1234568"])
+def test_sweep_rejects_colliding_output_files(g20_file, tmp_path, capsys, gammas):
+    assert _simulate(g20_file, "SIS", gammas, tmp_path / "sweep.csv", "--dt", "0.01") == 2
+    assert "would write one file twice" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep*"))
+
+
+def test_jobs_is_rejected(g20_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _simulate(g20_file, "SIS", "0.4,0.8", tmp_path / "sweep.csv", "--jobs", "2")
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"jobs": 2}))
+    code = _simulate(g20_file, "SIS", "0.4,0.8", tmp_path / "sweep.csv", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config keys: ['jobs']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("sweep*"))
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("simulate", ["--model", "SI", "--beta", "1", "--x0-uniform", "0.1", "--t-end", "1", "--format", "json"]),
+        ("endemic", ["--beta", "2", "--gamma", "1", "--format", "csv"]),
+        ("asymptotic", ["--beta", "2", "--gamma", "1", "--x0-uniform", "0.1", "--format", "csv"]),
+        ("threshold", ["--beta", "2", "--gamma", "1", "--format", "csv"]),
+        ("scalar", ["--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1", "--format", "json"]),
+    ],
+)
+def test_format_mismatch_exits_2(pair_graph, capsys, command, argv):
+    graph = [] if command == "scalar" else ["--graph", pair_graph]
+    assert main([command, *graph, *argv]) == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err and "use --format" in captured.err
+    assert captured.out == ""
 
 
 def test_threshold_with_trajectory(g20_file, tmp_path):

@@ -9,6 +9,7 @@ from netepi import (
     InvariantViolationError,
     ModelKind,
     ModelParams,
+    Trajectory,
     dominant_eig,
     initial_growth_approx,
     initial_state,
@@ -321,3 +322,49 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(back.s, traj.s)
     np.testing.assert_array_equal(back.x, traj.x)
     np.testing.assert_array_equal(back.r, traj.r)
+
+
+def test_batched_runs_equal_single_runs():
+    g = random_sc_graph(np.random.default_rng(5), 12)
+    x0 = np.linspace(0.0, 0.3, 12)
+    for kind, gammas, dt in [("SIS", (0.3, 1.0, 4.0), 0.01), ("SIR", (0.5, 2.0), 0.02)]:
+        state0 = initial_state(kind, x0)
+        batch = [ModelParams(kind, 1.5, gv) for gv in gammas]
+        runs = integrate(state0, batch, g, t_end=3.0, dt=dt, record_every=9)
+        assert isinstance(runs, list) and len(runs) == len(batch)
+        for params, run in zip(batch, runs):
+            alone = integrate(state0, params, g, t_end=3.0, dt=dt, record_every=9)
+            assert run.params is params and run.step_size == alone.step_size
+            for name in ("times", "s", "x", "r"):
+                assert np.array_equal(getattr(run, name), getattr(alone, name))
+
+
+def test_batch_must_share_kind_beta_and_step():
+    g = two_node()
+    state0 = initial_state("SIS", np.array([0.1, 0.2]))
+    for batch, message in [
+        ([], "at least one"),
+        ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIS", 2.0, 0.5)], "kind and beta"),
+        ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIR", 1.0, 0.5)], "kind and beta"),
+        ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIS", 1.0, 2.0)], "step size"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            integrate(state0, batch, g, t_end=1.0)
+
+
+def test_trajectory_csv_matches_per_value_formatting():
+    traj = integrate(
+        initial_state("SIS", np.array([0.3, 1.0 / 3.0])), ModelParams("SIS", 1.0, 0.5), two_node(), t_end=0.5, dt=0.01
+    )
+    odd = np.array([[0.0, -0.0], [5e-324, 1.0 / 3.0], [np.nextafter(1.0, 0.0), 1.0]])
+    edge_cases = Trajectory(
+        times=np.array([0.0, 1e-300, 0.1]), s=odd, x=odd[::-1].copy(), r=np.zeros((3, 2)), params=None, step_size=0.1
+    )
+    for t in (traj, edge_cases):
+        lines = ["t,s_1,s_2,x_1,x_2,r_1,r_2"]
+        for k in range(len(t)):
+            row = np.concatenate(([t.times[k]], t.s[k], t.x[k], t.r[k]))
+            lines.append(",".join(f"{v:.17g}" for v in row))
+        buf = io.StringIO()
+        write_trajectory_csv(t, buf)
+        assert buf.getvalue() == "\n".join(lines) + "\n"

@@ -190,6 +190,17 @@ def test_matvec_matches_dense_products(g, data):
     assert np.all(np.diff(keys) > 0)  # canonical row-major order, no repeats
 
 
+@given(sparse_graphs(), st.integers(min_value=1, max_value=5), st.booleans(), st.data())
+@settings(max_examples=200)
+def test_matmat_columns_equal_matvec(g, b, fortran, data):
+    values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n * b, max_size=g.n * b))
+    x = np.array(values).reshape(g.n, b, order="F" if fortran else "C")
+    for block in (g.matmat(x), g.matmat(x)):  # the second call reuses the index
+        assert block.shape == (g.n, b)
+        for j in range(b):
+            assert np.array_equal(block[:, j], g.matvec(x[:, j]))
+
+
 @given(sparse_graphs())
 @settings(max_examples=200)
 def test_dump_load_round_trip_sparse(g):
