@@ -61,10 +61,11 @@ class EpidemicState:
         n = s.shape[0]
         if s.shape != (n,) or x.shape != (n,) or r.shape != (n,):
             raise ValueError("s, x, r must be equal-length vectors")
+        # Written so that a NaN entry fails each test.
         for name, v in (("s", s), ("x", x), ("r", r)):
-            if np.any(v < -STATE_TOL) or np.any(v > 1 + STATE_TOL):
+            if not np.all((v >= -STATE_TOL) & (v <= 1 + STATE_TOL)):
                 raise ValueError(f"{name} has entries outside [0, 1]")
-        if np.abs(s + x + r - 1.0).max() > STATE_TOL:
+        if not np.abs(s + x + r - 1.0).max() <= STATE_TOL:
             raise ValueError("s + x + r must equal 1 at every node")
         for v in (s, x, r):
             v.setflags(write=False)
@@ -111,13 +112,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.s.shape[1]
-
-    def state(self, i: int) -> EpidemicState:
-        return EpidemicState(s=self.s[i], x=self.x[i], r=self.r[i])
-
-    @property
-    def final_state(self) -> EpidemicState:
-        return self.state(len(self) - 1)
 
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):

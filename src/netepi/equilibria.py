@@ -71,7 +71,7 @@ class SirAsymptoticResult:
         }
 
 
-def _iterate(f, y0, tol, max_iter, direction=0, slack=MONOTONE_SLACK):
+def _iterate(f, y0, tol, max_iter, direction=0):
     """Run y <- f(y) until successive iterates agree within tol (sup norm).
 
     direction +1/-1 asserts entrywise non-decreasing/non-increasing steps.
@@ -81,9 +81,9 @@ def _iterate(f, y0, tol, max_iter, direction=0, slack=MONOTONE_SLACK):
     y = np.asarray(y0, dtype=float)
     for it in range(1, max_iter + 1):
         y_next = f(y)
-        if direction > 0 and np.any(y_next < y - slack):
+        if direction > 0 and np.any(y_next < y - MONOTONE_SLACK):
             raise InvariantViolationError("iterates failed to be non-decreasing")
-        if direction < 0 and np.any(y_next > y + slack):
+        if direction < 0 and np.any(y_next > y + MONOTONE_SLACK):
             raise InvariantViolationError("iterates failed to be non-increasing")
         diff = float(np.abs(y_next - y).max())
         if diff <= tol:
@@ -258,11 +258,12 @@ def sir_asymptotic(
     s0 = np.asarray(s0, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     r0 = np.asarray(r0, dtype=float)
-    if np.any(s0 < 0) or np.any(x0 < 0) or np.any(r0 < 0):
+    # Written so that a NaN entry fails each test.
+    if not (np.all(s0 >= 0) and np.all(x0 >= 0) and np.all(r0 >= 0)):
         raise ValueError("s0, x0, r0 must be nonnegative")
     if not np.any(x0 > 0):
         raise ValueError("x0 must have at least one infected node")
-    if np.abs(s0 + x0 + r0 - 1.0).max() > 1e-9:
+    if not np.abs(s0 + x0 + r0 - 1.0).max() <= 1e-9:
         raise ValueError("s0 + x0 + r0 must equal 1 at every node")
 
     if isinstance(start, str):
@@ -274,7 +275,7 @@ def sir_asymptotic(
             raise ValueError(f"start must be 'zero', 'upper', or a vector, got {start!r}")
     else:
         y0 = np.asarray(start, dtype=float)
-        if np.any(y0 < 0) or np.any(y0 > 1.0 - r0 + MONOTONE_SLACK):
+        if not np.all((y0 >= 0) & (y0 <= 1.0 - r0 + MONOTONE_SLACK)):
             raise ValueError("custom start must lie in [0, 1 - r0]")
         direction, label = 0, "custom"
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ def test_sweep_excursion_in_one_column_exits_5(g20_file, tmp_path, capsys):
     assert not list(tmp_path.glob("sweep*"))
 
 
+@pytest.mark.parametrize(
+    "model, gammas, code", [("SIS", ["0.4"], 0), ("SIS", ["0.4", "0.8"], 0), ("SI", [], 2)]
+)
+def test_out_template_names_each_run(g20_file, tmp_path, model, gammas, code):
+    gamma = ["--gamma", ",".join(gammas)] if gammas else []  # SI has no gamma
+    argv = ["simulate", "--graph", g20_file, "--model", model, "--beta", "0.5", *gamma,
+            "--x0-uniform", "0.1", "--t-end", "0.5", "--dt", "0.01",
+            "--out", str(tmp_path / "traj_{gamma}.csv")]  # fmt: skip
+    assert main(argv) == code
+    assert sorted(p.name for p in tmp_path.glob("traj_*")) == [f"traj_{gv}.csv" for gv in gammas]
+
+
 @pytest.mark.parametrize("gammas", ["1,1", "0.1234567,0.1234568"])
 def test_sweep_rejects_colliding_output_files(g20_file, tmp_path, capsys, gammas):
     assert _simulate(g20_file, "SIS", gammas, tmp_path / "sweep.csv", "--dt", "0.01") == 2
@@ -333,6 +346,85 @@ def test_config_file_with_flag_override(pair_graph, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     np.testing.assert_allclose(doc["x_star"], 0.75, atol=1e-9)  # beta=4 wins
+
+
+_ENDEMIC = {"beta": 2.0, "gamma": "1.0"}
+_SIMULATE = {"model": "SI", "beta": 1.0, "t_end": 0.1, "dt": 0.01}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("endemic", {**_ENDEMIC, "beta": "abc"}, "argument --beta: invalid float value: 'abc'"),
+        ("simulate", {**_SIMULATE, "seed_node": 1.0}, "argument --seed-node: invalid int value"),
+        ("simulate", {**_SIMULATE, "seed_node": True}, "'seed_node' must be a number or a string"),
+        ("simulate", {**_SIMULATE, "x0_uniform": 0.1, "record_every": "x"}, "invalid int value"),
+        ("endemic", {**_ENDEMIC, "bracket": "middle"}, "argument --bracket: invalid choice"),
+        ("endemic", {**_ENDEMIC, "tol": None}, "'tol' must be a number or a string"),
+        ("endemic", {**_ENDEMIC, "tol": [1e-8]}, "'tol' must be a number or a string"),
+        ("endemic", {**_ENDEMIC, "tol": {"value": 1e-8}}, "'tol' must be a number or a string"),
+        # keys that only other subcommands take
+        ("endemic", {**_ENDEMIC, "t_end": 5}, "unknown config keys: ['t_end']"),
+        ("threshold", {**_ENDEMIC, "s0": 0.9}, "unknown config keys: ['s0']"),
+        ("asymptotic", {**_ENDEMIC, "x0_uniform": 0.1, "bracket": "upper"},
+         "unknown config keys: ['bracket']"),
+        ("threshold", {**_ENDEMIC, "graph_path": "g.txt"}, "unknown config keys: ['graph_path']"),
+        ("threshold", {**_ENDEMIC, "config": "other.json"}, "unknown config keys: ['config']"),
+    ],
+)
+def test_config_values_are_checked_like_flags(
+    pair_graph, tmp_path, capsys, command, config, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": pair_graph, **config}))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("netepi: bad configuration: ")
+    assert message in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("endemic", {**_ENDEMIC, "tol": "1e-8", "bracket": "upper"},
+         ["--beta", "2.0", "--gamma", "1.0", "--tol", "1e-8", "--bracket", "upper"]),
+        ("simulate", {**_SIMULATE, "seed-node": 2, "record_every": "5"},
+         ["--model", "SI", "--beta", "1.0", "--t-end", "0.1", "--dt", "0.01", "--seed-node", "2",
+          "--record-every", "5"]),
+        ("asymptotic", {**_ENDEMIC, "x0_uniform": 0.05, "start": "upper", "tol": 1e-12},
+         ["--beta", "2.0", "--gamma", "1.0", "--x0-uniform", "0.05", "--start", "upper",
+          "--tol", "1e-12"]),
+        ("threshold", {"beta": 0.25, "gamma": 0.5}, ["--beta", "0.25", "--gamma", "0.5"]),
+    ],
+)
+def test_config_file_equals_flags(pair_graph, tmp_path, command, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"graph": pair_graph, **config}))
+    from_file, from_flags = tmp_path / "file.out", tmp_path / "flags.out"
+    assert main([command, "--config", str(cfg), "--out", str(from_file)]) == 0
+    assert main([command, "--graph", pair_graph, *flags, "--out", str(from_flags)]) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, extra", [("simulate", ["--model", "SIR", "--t-end", "1"]), ("asymptotic", [])]
+)
+def test_non_finite_x0_file_exits_2(tmp_path, capsys, command, extra, value):
+    ring = tmp_path / "ring.txt"
+    ring.write_text("1 2 1.0\n2 3 1.0\n3 1 1.0\n")
+    x0 = tmp_path / "x0.txt"
+    x0.write_text(f"0.1\n{value}\n0.1\n")
+    start = time.perf_counter()
+    code = main(
+        [command, "--graph", str(ring), "--beta", "1", "--gamma", "0.5", "--x0-file", str(x0),
+         *extra]
+    )
+    assert code == 2 and time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert "x0 file holds a non-finite value" in captured.err
+    assert captured.out == ""
 
 
 def test_bad_graph_exits_3(tmp_path, capsys):

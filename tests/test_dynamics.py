@@ -42,6 +42,14 @@ def test_state_validation():
         initial_state("SI", np.array([0.5]), r0=np.array([0.1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        initial_state("SIR", np.array([0.1, bad]))
+    with pytest.raises(ValueError):
+        EpidemicState(s=np.array([0.5, bad]), x=np.array([0.5, 0.0]), r=np.zeros(2))
+
+
 def test_rhs_equilibria():
     g = two_node()
     zero = initial_state("SI", np.zeros(2))

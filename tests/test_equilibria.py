@@ -233,3 +233,14 @@ def test_sir_validates_inputs():
         sir_asymptotic(g, beta, gamma, s0 + 0.1, x0, r0)
     with pytest.raises(ValueError):
         sir_asymptotic(g, beta, gamma, s0, x0, r0, start="sideways")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sir_rejects_non_finite_inputs(bad):
+    g, beta, gamma, s0, x0, r0 = _sir_setup()
+    x0, s0 = x0.copy(), s0.copy()
+    x0[-1] = s0[-1] = bad
+    with pytest.raises(ValueError):
+        sir_asymptotic(g, beta, gamma, s0, x0, r0)
+    with pytest.raises(ValueError):
+        sir_asymptotic(g, beta, gamma, 1.0 - x0 - r0, x0, r0)
