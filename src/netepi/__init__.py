@@ -48,8 +48,6 @@ from .graph import (
 )
 from .scalar import (
     ModelKind,
-    ScalarParams,
-    scalar_rhs,
     si_closed_form,
     sir_rinf,
     sir_xmax,
@@ -77,12 +75,10 @@ __all__ = [
     "spectral_radius",
     "effective_matrix",
     "ModelKind",
-    "ScalarParams",
     "si_closed_form",
     "sis_closed_form",
     "sir_rinf",
     "sir_xmax",
-    "scalar_rhs",
     "ModelParams",
     "EpidemicState",
     "Trajectory",

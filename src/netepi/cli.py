@@ -20,9 +20,11 @@ diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -69,7 +71,6 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float)
         p.add_argument("--gamma")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["csv", "json"])
         return p
 
     def add_initial_state(p):
@@ -146,8 +147,8 @@ def _require(args: argparse.Namespace, *names):
 
 
 def _positive(value, name):
-    if value is None or value <= 0:
-        raise ConfigError(f"{name} must be positive")
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite")
     return float(value)
 
 
@@ -226,8 +227,10 @@ def _write_output(text: str, path: str | None) -> None:
             fp.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_text(result) -> str:
+    """A result dataclass as a JSON object, one key per field in field order."""
+    payload = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    return json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -254,7 +257,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
-    steps = [args.dt if args.dt is not None else dynamics.default_step(p) for p in params]
+    dt = None if args.dt is None else _positive(args.dt, "dt")
+    steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
     t_end = _positive(args.t_end, "t_end")
     trajectories = {}
     # The runs that share a step size integrate together, one column each.
@@ -301,10 +305,10 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
         g,
         _positive(args.beta, "beta"),
         _single_gamma(args),
-        tol=args.tol,
+        tol=_positive(args.tol, "tol"),
         bracket=args.bracket,
     )
-    _write_output(_json_text(result.as_dict()), args.out)
+    _write_output(_json_text(result), args.out)
     return EXIT_OK
 
 
@@ -322,10 +326,10 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         s0=s0,
         x0=x0,
         r0=r0,
-        tol=args.tol,
+        tol=_positive(args.tol, "tol"),
         start=args.start,
     )
-    _write_output(_json_text(result.as_dict()), args.out)
+    _write_output(_json_text(result), args.out)
     return EXIT_OK
 
 
@@ -348,14 +352,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         threshold.write_r_series_csv(times, values, buf)
         _write_output(buf.getvalue(), args.rt_out)
         tau = threshold.subthreshold_crossing(times, values)
-        report = threshold.ThresholdReport(
-            r0=report.r0,
-            classification=report.classification,
-            lambda_max=report.lambda_max,
-            crossing_time=tau,
-        )
+        report = dataclasses.replace(report, crossing_time=tau)
 
-    _write_output(_json_text(report.as_dict()), args.out)
+    _write_output(_json_text(report), args.out)
     return EXIT_OK
 
 
@@ -391,25 +390,19 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# Each subcommand and the one format its --out document is written in.
 _COMMANDS = {
-    "simulate": (_cmd_simulate, "csv"),
-    "endemic": (_cmd_endemic, "json"),
-    "asymptotic": (_cmd_asymptotic, "json"),
-    "threshold": (_cmd_threshold, "json"),
-    "scalar": (_cmd_scalar, "csv"),
+    "simulate": _cmd_simulate,
+    "endemic": _cmd_endemic,
+    "asymptotic": _cmd_asymptotic,
+    "threshold": _cmd_threshold,
+    "scalar": _cmd_scalar,
 }
 
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit code."""
-    command, output_format = _COMMANDS[args.command]
     try:
-        if args.format not in (None, output_format):
-            raise ConfigError(
-                f"{args.command} writes {output_format.upper()}; use --format {output_format}"
-            )
-        return command(args)
+        return _COMMANDS[args.command](args)
     except (GraphFormatError, ReducibleMatrixError) as e:
         print(f"netepi: graph error: {e}", file=sys.stderr)
         return EXIT_GRAPH

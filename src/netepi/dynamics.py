@@ -166,7 +166,6 @@ def integrate(
     dt: float | None = None,
     record_every: int = 1,
     stop_when_stationary: bool = False,
-    stationary_tol: float = STATIONARY_TOL,
 ) -> Trajectory | list[Trajectory]:
     """Integrate the network model with fixed-step RK4.
 
@@ -179,7 +178,7 @@ def integrate(
 
     Records the initial state, every record_every-th step, and the final
     state. With stop_when_stationary the run ends early once the sup-norm of
-    the right-hand side over the block drops below stationary_tol (the
+    the right-hand side over the block drops below STATIONARY_TOL (the
     standard surrogate for the t -> infinity limits).
 
     Raises InvariantViolationError if a step leaves [0, 1]^n by more than
@@ -215,7 +214,7 @@ def integrate(
 
     for k in range(1, n_steps + 1):
         k1 = f(y)
-        if stop_when_stationary and np.abs(k1).max() < stationary_tol:
+        if stop_when_stationary and np.abs(k1).max() < STATIONARY_TOL:
             # y is the state after step k - 1; record it unless that
             # instant is already recorded.
             if times[-1] != (k - 1) * dt:

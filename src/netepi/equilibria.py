@@ -39,15 +39,6 @@ class EndemicResult:
     bracket: str
     warnings: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "x_star": self.x_star.tolist(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "bracket": self.bracket,
-            "warnings": list(self.warnings),
-        }
-
 
 @dataclass(frozen=True)
 class SirAsymptoticResult:
@@ -60,26 +51,17 @@ class SirAsymptoticResult:
     start: str
     warnings: tuple[str, ...] = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "s_inf": self.s_inf.tolist(),
-            "r_inf": self.r_inf.tolist(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "start": self.start,
-            "warnings": list(self.warnings),
-        }
 
-
-def _iterate(f, y0, tol, max_iter, direction=0):
+def _iterate(f, y0, tol, direction):
     """Run y <- f(y) until successive iterates agree within tol (sup norm).
 
     direction +1/-1 asserts entrywise non-decreasing/non-increasing steps.
     Returns (fixed_point, applications, residual) where residual is the
-    verified sup-norm of f(fixed_point) - fixed_point.
+    verified sup-norm of f(fixed_point) - fixed_point; raises
+    NonConvergenceError after DEFAULT_MAX_ITER applications.
     """
     y = np.asarray(y0, dtype=float)
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         y_next = f(y)
         if direction > 0 and np.any(y_next < y - MONOTONE_SLACK):
             raise InvariantViolationError("iterates failed to be non-decreasing")
@@ -92,7 +74,7 @@ def _iterate(f, y0, tol, max_iter, direction=0):
                 return y_next, it, residual
         y = y_next
     raise NonConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} in {max_iter} iterations"
+        f"fixed-point iteration did not reach tol={tol} in {DEFAULT_MAX_ITER} iterations"
     )
 
 
@@ -128,18 +110,16 @@ def sis_endemic(
     beta: float,
     gamma: float,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     bracket: str = "lower",
-    y0=None,
 ) -> EndemicResult:
     """Endemic state of the network SIS model above threshold.
 
     Iterates y -> F_+((beta/gamma) A y) from the canonical bracket start:
     'lower' produces a non-decreasing sequence, 'upper' a non-increasing one,
-    both converging to the unique strictly positive equilibrium. A custom y0
-    is accepted only if it is a scalar multiple of the dominant eigenvector
-    satisfying one of the bracket bounds, since those are the starts for
-    which monotone convergence is guaranteed.
+    both converging to the unique strictly positive equilibrium. These are
+    the only starts for which monotone convergence is guaranteed. Stops once
+    successive iterates and the residual are within tol (default
+    DEFAULT_TOL); raises NonConvergenceError after DEFAULT_MAX_ITER steps.
     """
     trip = dominant_eig(g)
     r0 = beta * trip.lambda_max / gamma
@@ -154,40 +134,16 @@ def sis_endemic(
             f"near threshold (delta = {delta:.3g}): convergence may be slow",
         )
 
-    scale = 1.0 - 1.0 / r0
-    if y0 is None:
-        y0 = sis_bracket_start(trip.u_max, r0, bracket)
-    else:
-        y0 = np.asarray(y0, dtype=float)
-        bracket = _classify_custom_start(y0, trip.u_max, scale)
-
+    y0 = sis_bracket_start(trip.u_max, r0, bracket)
     direction = +1 if bracket == "lower" else -1
     f = sis_fixed_point_map(g, beta, gamma)
-    x_star, iterations, residual = _iterate(f, y0, tol, max_iter, direction)
+    x_star, iterations, residual = _iterate(f, y0, tol, direction)
     return EndemicResult(
         x_star=x_star,
         iterations=iterations,
         residual=residual,
         bracket=bracket,
         warnings=warnings,
-    )
-
-
-def _classify_custom_start(y0, u_max, scale):
-    if np.any(y0 < 0) or not np.any(y0 > 0):
-        raise ValueError("start vector must be nonnegative and nonzero")
-    c = float(y0 @ u_max) / float(u_max @ u_max)
-    if c <= 0 or np.abs(y0 - c * u_max).max() > 1e-8 * np.abs(y0).max():
-        raise ValueError(
-            "start vector must be a positive scalar multiple of the dominant eigenvector"
-        )
-    if y0.max() <= scale + MONOTONE_SLACK:
-        return "lower"
-    if y0.min() >= scale - MONOTONE_SLACK:
-        return "upper"
-    raise ValueError(
-        "start vector satisfies neither bracket bound; monotone convergence "
-        "is not guaranteed from it"
     )
 
 
@@ -244,15 +200,15 @@ def sir_asymptotic(
     x0,
     r0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    start="zero",
+    start: str = "zero",
 ) -> SirAsymptoticResult:
     """Asymptotic state of the network SIR model via the H-map iteration.
 
     start='zero' iterates from the zero vector (non-decreasing sequence),
-    start='upper' from 1 - r0 (non-increasing); any vector inside
-    [0, 1 - r0] is also accepted, without a monotonicity contract. All
-    starts converge to the same fixed point.
+    start='upper' from 1 - r0 (non-increasing); both converge to the same
+    fixed point. Stops once successive iterates and the residual are within
+    tol (default DEFAULT_TOL); raises NonConvergenceError after
+    DEFAULT_MAX_ITER steps.
     """
     require_strongly_connected(g)
     s0 = np.asarray(s0, dtype=float)
@@ -266,26 +222,20 @@ def sir_asymptotic(
     if not np.abs(s0 + x0 + r0 - 1.0).max() <= 1e-9:
         raise ValueError("s0 + x0 + r0 must equal 1 at every node")
 
-    if isinstance(start, str):
-        if start == "zero":
-            y0, direction, label = np.zeros_like(s0), +1, "zero"
-        elif start == "upper":
-            y0, direction, label = 1.0 - r0, -1, "upper"
-        else:
-            raise ValueError(f"start must be 'zero', 'upper', or a vector, got {start!r}")
+    if start == "zero":
+        y0, direction = np.zeros_like(s0), +1
+    elif start == "upper":
+        y0, direction = 1.0 - r0, -1
     else:
-        y0 = np.asarray(start, dtype=float)
-        if not np.all((y0 >= 0) & (y0 <= 1.0 - r0 + MONOTONE_SLACK)):
-            raise ValueError("custom start must lie in [0, 1 - r0]")
-        direction, label = 0, "custom"
+        raise ValueError(f"start must be 'zero' or 'upper', got {start!r}")
 
     h = sir_fixed_point_map(g, beta, gamma, s0, r0)
-    s_inf, iterations, residual = _iterate(h, y0, tol, max_iter, direction)
+    s_inf, iterations, residual = _iterate(h, y0, tol, direction)
     return SirAsymptoticResult(
         s_inf=s_inf,
         r_inf=1.0 - s_inf,
         iterations=iterations,
         residual=residual,
-        start=label,
+        start=start,
         warnings=(),
     )

@@ -1,40 +1,28 @@
 """Scalar (well-mixed population) SI, SIS, and SIR models.
 
-Closed forms where they exist, a bisection solve for the SIR final size, and
-the raw right-hand sides. These double as oracles for the network models:
-on a symmetric graph with a symmetric initial state every node follows the
-scalar solution.
+Closed forms where they exist and a bisection solve for the SIR final size.
+These double as oracles for the network models: on a symmetric graph with a
+symmetric initial state every node follows the scalar solution. The scalar
+vector fields themselves are the network ones (dynamics.rhs) on the
+one-node graph with a unit self-loop.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BelowThresholdError
+
+RINF_BRACKET_WIDTH = 1e-12
 
 
 class ModelKind(str, enum.Enum):
     SI = "SI"
     SIS = "SIS"
     SIR = "SIR"
-
-
-@dataclass(frozen=True)
-class ScalarParams:
-    """Infection rate beta (1/time) and recovery rate gamma (1/time, None for SI)."""
-
-    beta: float
-    gamma: float | None = None
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
 
 
 def _check_fraction(x0):
@@ -78,11 +66,12 @@ def sis_closed_form(x0: float, beta: float, gamma: float, t):
     return float(out) if out.ndim == 0 else out
 
 
-def sir_rinf(s0: float, r0: float, beta: float, gamma: float, tol: float = 1e-12) -> float:
+def sir_rinf(s0: float, r0: float, beta: float, gamma: float) -> float:
     """Final recovered fraction of the scalar SIR model.
 
-    Solves 1 - r = s0 e^{-(beta/gamma)(r - r0)} for r in [r0, 1] by bisection;
-    the bracket always contains exactly one root under the preconditions.
+    Solves 1 - r = s0 e^{-(beta/gamma)(r - r0)} for r in [r0, 1] by bisection
+    down to a bracket of width RINF_BRACKET_WIDTH; the bracket always
+    contains exactly one root under the preconditions.
     """
     if s0 <= 0 or r0 < 0 or s0 + r0 > 1:
         raise ValueError("need s0 > 0, r0 >= 0, s0 + r0 <= 1")
@@ -96,7 +85,7 @@ def sir_rinf(s0: float, r0: float, beta: float, gamma: float, tol: float = 1e-12
         return 1.0 - r - s0 * math.exp(-ratio * (r - r0))
 
     lo, hi = r0, 1.0  # g(lo) = x0 > 0, g(hi) = -s0 e^{...} < 0
-    while hi - lo > tol:
+    while hi - lo > RINF_BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:
             lo = mid
@@ -119,22 +108,3 @@ def sir_xmax(s0: float, x0: float, beta: float, gamma: float) -> float:
             f"beta*s0/gamma = {s0 / rho:.6g} < 1: infections only decay, no interior peak"
         )
     return x0 + s0 - rho * (math.log(s0) + 1.0 - math.log(rho))
-
-
-def scalar_rhs(kind: ModelKind, state, params: ScalarParams):
-    """Right-hand side of the scalar model ODEs.
-
-    SI and SIS take the infected fraction x and return dx/dt; SIR takes
-    (s, x, r) and returns (ds/dt, dx/dt, dr/dt).
-    """
-    kind = ModelKind(kind)
-    beta = params.beta
-    if kind is ModelKind.SI:
-        x = state
-        return beta * (1.0 - x) * x
-    if kind is ModelKind.SIS:
-        x = state
-        return beta * (1.0 - x) * x - params.gamma * x
-    s, x, _ = state
-    flow = beta * s * x
-    return (-flow, flow - params.gamma * x, params.gamma * x)

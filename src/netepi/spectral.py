@@ -7,6 +7,9 @@ and subtract the shift c from the reported eigenvalue. The shift is skipped
 when the diagonal already has a positive entry (the matrix is then
 aperiodic). Matrices are Graphs, so each iteration costs one O(n + nnz)
 product; a dense matrix argument is converted to a Graph once.
+
+The tolerances are fixed: residuals are tested against DEFAULT_TOL, and an
+iteration gives up after DEFAULT_MAX_ITER steps.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ def _prepare_start(n: int, start) -> np.ndarray:
     return x
 
 
-def _power_iteration(product, n, shift, tol, max_iter, start=None, entrywise=False):
+def _power_iteration(product, n, shift, tol, start=None, entrywise=False):
     """Iterate x -> (product(x) + shift x) / ||.||_1 until the eigen-residual passes tol.
 
     product is x -> M x for a nonnegative n x n matrix M. Returns
@@ -80,7 +83,7 @@ def _power_iteration(product, n, shift, tol, max_iter, start=None, entrywise=Fal
     relative error of the smallest entries too.
     """
     x = _prepare_start(n, start)
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         y = product(x) + shift * x
         lam_shifted = y.sum()  # equals ||y||_1 for nonnegative y, unit-1-norm x
         lam = lam_shifted - shift
@@ -95,51 +98,43 @@ def _power_iteration(product, n, shift, tol, max_iter, start=None, entrywise=Fal
             return 0.0, x, it
         x = y / lam_shifted
     raise NonConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations"
+        f"power iteration did not reach tol={tol} within {DEFAULT_MAX_ITER} iterations"
     )
 
 
-def dominant_eig(
-    m: Graph | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SpectralTriple:
+def dominant_eig(m: Graph | np.ndarray) -> SpectralTriple:
     """Dominant eigenvalue and left/right eigenvectors of an irreducible matrix.
 
     m is a Graph or a dense nonnegative matrix. Runs shifted power iteration
     on m (for u_max) and on its transpose (for v_max), both from the uniform
-    start vector. Raises ReducibleMatrixError if m is reducible and
-    NonConvergenceError if the iteration budget runs out.
+    start vector, until each eigen-residual entry is within DEFAULT_TOL of
+    lambda_max times that eigenvector entry. Raises ReducibleMatrixError if m
+    is reducible and NonConvergenceError if DEFAULT_MAX_ITER iterations do not
+    get there.
     """
     g = _as_graph(m)
     require_strongly_connected(g)
     shift = _shift_for(g)
-    # Converge tighter than tol so both residuals hold against the single
-    # reported eigenvalue.
-    lam_u, u, _ = _power_iteration(g.matvec, g.n, shift, tol / 4, max_iter, entrywise=True)
-    _, v, _ = _power_iteration(g.rmatvec, g.n, shift, tol / 4, max_iter, entrywise=True)
+    # Converge tighter than DEFAULT_TOL so both residuals hold against the
+    # single reported eigenvalue.
+    tol = DEFAULT_TOL / 4
+    lam_u, u, _ = _power_iteration(g.matvec, g.n, shift, tol, entrywise=True)
+    _, v, _ = _power_iteration(g.rmatvec, g.n, shift, tol, entrywise=True)
     return SpectralTriple(lambda_max=lam_u, v_max=v, u_max=u)
 
 
-def spectral_radius(
-    m: Graph | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    start=None,
-) -> tuple[float, np.ndarray]:
+def spectral_radius(m: Graph | np.ndarray, start=None) -> tuple[float, np.ndarray]:
     """Spectral radius of a nonnegative (possibly reducible) matrix.
 
     Same shifted power iteration as dominant_eig but without the
-    irreducibility pre-check, with the convergence test taken relative to the
+    irreducibility pre-check, with the DEFAULT_TOL test taken relative to the
     shifted eigenvalue so that matrices with tiny or zero spectral radius are
-    handled. Returns (lambda, right_vector); the vector is nonnegative but not
+    handled; start (default uniform) warm-starts the iteration. Returns (lambda, right_vector); the vector is nonnegative but not
     necessarily unique and is mainly useful for warm-starting the next call.
     """
     g = _as_graph(m)
     try:
-        lam, x, _ = _power_iteration(
-            g.matvec, g.n, _shift_for(g), tol, max_iter, start=start
-        )
+        lam, x, _ = _power_iteration(g.matvec, g.n, _shift_for(g), DEFAULT_TOL, start=start)
     except NonConvergenceError:
         # Reducible matrices whose dominant block structure is defective
         # (e.g. diag(s) A with a zeroed row) make power iteration crawl;

@@ -14,13 +14,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .graph import Graph
-from .spectral import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    dominant_eig,
-    effective_matrix,
-    spectral_radius,
-)
+from .spectral import dominant_eig, effective_matrix, spectral_radius
 
 CRITICAL_WINDOW = 1e-12
 
@@ -31,14 +25,6 @@ class ThresholdReport:
     classification: str  # below | above | critical
     lambda_max: float
     crossing_time: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "r0": self.r0,
-            "classification": self.classification,
-            "lambda_max": self.lambda_max,
-            "crossing_time": self.crossing_time,
-        }
 
 
 def _classify(r0: float) -> str:
@@ -57,12 +43,7 @@ def reproduction_number(g: Graph, beta: float, gamma: float) -> ThresholdReport:
 
 
 def effective_r_series(
-    traj: Trajectory,
-    g: Graph,
-    beta: float,
-    gamma: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    traj: Trajectory, g: Graph, beta: float, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """R(t) = beta * lambda_max(diag(s(t)) A) / gamma at each recorded time.
 
@@ -74,7 +55,7 @@ def effective_r_series(
     vec = None
     for k in range(len(traj)):
         m = effective_matrix(traj.s[k], g)
-        lam, vec = spectral_radius(m, tol=tol, max_iter=max_iter, start=vec)
+        lam, vec = spectral_radius(m, start=vec)
         values[k] = beta * lam / gamma
     return traj.times.copy(), values
 

@@ -1,0 +1,35 @@
+"""What the benchmark under benchmarks/ needs from the package, checked fast.
+
+The benchmark traces public functions by name and runs `netepi` command
+lines; a removed name or flag would otherwise show only in its own, much
+slower, smoke test (python -m pytest benchmarks).
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from netepi.cli import build_parser
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_traced_names_resolve():
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"netepi.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"netepi.{module_name}.{name}"
+
+
+@pytest.mark.parametrize("workload", workloads.NAMES)
+def test_workload_command_lines_parse(workload, tmp_path):
+    plan = workloads.build(workload, 3, True, tmp_path)
+    parser = build_parser(exit_on_error=False)
+    for call in (plan.setup, *plan.trace_calls):
+        args, extras = parser.parse_known_args(call.argv)
+        assert args.command == call.subcommand
+        assert extras == [], call.label

@@ -207,18 +207,28 @@ def test_jobs_is_rejected(g20_file, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, argv",
     [
-        ("simulate", ["--model", "SI", "--beta", "1", "--x0-uniform", "0.1", "--t-end", "1", "--format", "json"]),
-        ("endemic", ["--beta", "2", "--gamma", "1", "--format", "csv"]),
-        ("asymptotic", ["--beta", "2", "--gamma", "1", "--x0-uniform", "0.1", "--format", "csv"]),
-        ("threshold", ["--beta", "2", "--gamma", "1", "--format", "csv"]),
-        ("scalar", ["--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1", "--format", "json"]),
+        ("simulate", ["--model", "SI", "--beta", "1", "--x0-uniform", "0.1", "--t-end", "1"]),
+        ("endemic", ["--beta", "2", "--gamma", "1"]),
+        ("asymptotic", ["--beta", "2", "--gamma", "1", "--x0-uniform", "0.1"]),
+        ("threshold", ["--beta", "2", "--gamma", "1"]),
+        ("scalar", ["--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1"]),
     ],
 )
-def test_format_mismatch_exits_2(pair_graph, capsys, command, argv):
+def test_format_mismatch_exits_2(pair_graph, tmp_path, capsys, command, argv):
+    # No subcommand takes --format, not even naming the format it writes.
     graph = [] if command == "scalar" else ["--graph", pair_graph]
-    assert main([command, *graph, *argv]) == 2
+    output_format = "csv" if command in ("simulate", "scalar") else "json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *graph, *argv, "--format", output_format])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "bad configuration" in captured.err and "use --format" in captured.err
+    assert "unrecognized arguments: --format" in captured.err
+    assert captured.out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": output_format}))
+    assert main([command, *graph, *argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "unknown config keys: ['format']" in captured.err
     assert captured.out == ""
 
 
@@ -487,6 +497,31 @@ def test_single_gamma_commands_reject_a_list(pair_graph, capsys, command, extra)
     captured = capsys.readouterr()
     assert "takes one --gamma value" in captured.err
     assert captured.out == ""
+
+
+# A run that each number flag would otherwise complete, minus that flag.
+NUMBER_FLAG_RUNS = {
+    "--beta": ["threshold", "--gamma", "1"],
+    "--gamma": ["threshold", "--beta", "1"],
+    "--t-end": ["simulate", "--model", "SIS", "--beta", "1", "--gamma", "1", "--x0-uniform", "0.1"],
+    "--dt": ["simulate", "--model", "SIS", "--beta", "1", "--gamma", "1", "--x0-uniform", "0.1",
+             "--t-end", "1"],
+    "--tol": ["endemic", "--beta", "2", "--gamma", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", list(NUMBER_FLAG_RUNS))
+def test_number_flags_must_be_positive_and_finite(pair_graph, capsys, flag, value):
+    command, *argv = NUMBER_FLAG_RUNS[flag]
+    start = time.perf_counter()
+    code = main([command, "--graph", pair_graph, *argv, f"{flag}={value}"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err and "must be positive and finite" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("dt", ["-0.1", "0"])

@@ -84,21 +84,6 @@ def test_endemic_matches_long_sis_integration():
         assert np.abs(traj.x[-1] - res.x_star).max() < 1e-5
 
 
-def test_custom_start_validation():
-    g = two_node()
-    trip = dominant_eig(g.adjacency)
-    scale = 1.0 - 1.0 / 4.0  # R0 = 4 at beta = gamma
-    ok_lower = scale * trip.u_max / trip.u_max.max()
-    res = sis_endemic(g, 1.0, 1.0, y0=ok_lower)
-    assert res.bracket == "lower"
-    ok_upper = scale * trip.u_max / trip.u_max.min()
-    assert sis_endemic(g, 1.0, 1.0, y0=ok_upper).bracket == "upper"
-    with pytest.raises(ValueError):  # not collinear with u_max
-        sis_endemic(g, 1.0, 1.0, y0=np.array([0.1, 0.1]))
-    with pytest.raises(ValueError):  # collinear but between the bracket bounds
-        sis_endemic(g, 1.0, 1.0, y0=scale * trip.u_max / np.median(trip.u_max) * 1.2)
-
-
 def test_near_threshold_warning():
     g = symmetric_pair()  # lambda_max = 1
     res = sis_endemic(g, 1.0 + 5e-4, 1.0, tol=1e-8)
@@ -201,14 +186,21 @@ def test_sir_matches_long_integration():
 
 
 def test_sir_random_starts_converge_to_same_point():
+    # The H-map converges from any start in [0, 1 - r0], not only the brackets.
     g, beta, gamma, s0, x0, r0 = _sir_setup(seed=13, r0_frac=0.05)
     reference = sir_asymptotic(g, beta, gamma, s0, x0, r0).s_inf
+    h = sir_fixed_point_map(g, beta, gamma, s0, r0)
     rng = np.random.default_rng(99)
     for _ in range(5):
-        y0 = rng.uniform(0.0, 1.0, s0.shape[0]) * (1.0 - r0)
-        res = sir_asymptotic(g, beta, gamma, s0, x0, r0, start=y0)
-        assert res.start == "custom"
-        assert np.abs(res.s_inf - reference).max() < 5e-9
+        y = rng.uniform(0.0, 1.0, s0.shape[0]) * (1.0 - r0)
+        for _ in range(100_000):
+            y_next = h(y)
+            if np.abs(y_next - y).max() <= 1e-10:
+                break
+            y = y_next
+        else:
+            pytest.fail("H-map iteration did not settle")
+        assert np.abs(y_next - reference).max() < 5e-9
 
 
 def test_sir_vanishing_infection_below_threshold():

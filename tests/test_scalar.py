@@ -5,9 +5,12 @@ import pytest
 
 from netepi import (
     BelowThresholdError,
+    EpidemicState,
+    Graph,
     ModelKind,
-    ScalarParams,
-    scalar_rhs,
+    ModelParams,
+    initial_state,
+    rhs,
     si_closed_form,
     sir_rinf,
     sir_xmax,
@@ -109,12 +112,17 @@ def test_scalar_sir_trajectory_invariants():
 
 
 def test_scalar_rhs_values():
-    assert scalar_rhs(ModelKind.SI, 0.0, ScalarParams(beta=1.0)) == 0.0
-    p = ScalarParams(beta=1.5, gamma=0.5)
+    # The scalar models are the network models on one node with a unit self-loop.
+    g = Graph([[1.0]])
+    _, dx, _ = rhs(initial_state(ModelKind.SI, [0.0]), ModelParams(ModelKind.SI, 1.0), g)
+    assert dx[0] == 0.0
+    p = ModelParams(ModelKind.SIS, beta=1.5, gamma=0.5)
     x_star = (p.beta - p.gamma) / p.beta
-    assert scalar_rhs(ModelKind.SIS, x_star, p) == pytest.approx(0.0, abs=1e-15)
-    ds, dx, dr = scalar_rhs(ModelKind.SIR, (0.5, 0.2, 0.3), ScalarParams(2.0, 0.25))
-    assert (ds, dx, dr) == pytest.approx((-0.2, 0.15, 0.05))
+    _, dx, _ = rhs(initial_state(ModelKind.SIS, [x_star]), p, g)
+    assert dx[0] == pytest.approx(0.0, abs=1e-15)
+    state = EpidemicState(s=[0.5], x=[0.2], r=[0.3])
+    ds, dx, dr = rhs(state, ModelParams(ModelKind.SIR, 2.0, 0.25), g)
+    assert (ds[0], dx[0], dr[0]) == pytest.approx((-0.2, 0.15, 0.05))
 
 
 def test_fraction_validation():
