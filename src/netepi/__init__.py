@@ -2,7 +2,7 @@
 
 The package covers trajectory integration of the network models, spectral
 threshold analysis (reproduction numbers from the dominant eigenvalue of the
-contact matrix), and monotone fixed-point algorithms for the SIS endemic
+contact matrix), and certified Newton–GMRES fixed points for the SIS endemic
 state and the SIR asymptotic state, plus the scalar closed forms the network
 results generalize.
 """

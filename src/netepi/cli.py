@@ -86,14 +86,20 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float)
     p.add_argument("--record-every", type=int, default=1)
 
+    width_help = "largest width of the certified enclosure"
+
     p = add_command("endemic", "SIS endemic state (above threshold) to JSON")
-    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL)
-    p.add_argument("--bracket", choices=["lower", "upper"], default="lower")
+    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL, help=width_help)
+    p.add_argument(
+        "--bracket", choices=["lower", "upper"], default="lower", help="end of the enclosure written"
+    )
 
     p = add_command("asymptotic", "SIR asymptotic state to JSON")
     add_initial_state(p)
-    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL)
-    p.add_argument("--start", choices=["zero", "upper"], default="zero")
+    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL, help=width_help)
+    p.add_argument(
+        "--start", choices=["zero", "upper"], default="zero", help="end of the enclosure written"
+    )
 
     p = add_command("threshold", "reproduction number report, optional R(t) CSV")
     p.add_argument("--trajectory", help="trajectory CSV to compute R(t) over")
@@ -281,21 +287,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _output_paths(out: str | None, gammas: list) -> list:
-    """One --out path per gamma; {gamma} in --out is replaced by the value.
+    """One --out path per gamma; {gamma} in --out is replaced by the value's label.
 
     Without the placeholder a single run writes --out itself and a sweep
-    writes <root>_gamma<value><ext>.
+    writes <root>_gamma<label><ext>. The label is {gamma:g}, or the repr
+    of values whose {gamma:g} would name one file twice.
     """
     if out is not None and "{gamma}" in out:
         if gammas == [None]:
             raise ConfigError("SI has no gamma to fill {gamma} in --out")
-        return [out.replace("{gamma}", f"{gv:g}") for gv in gammas]
+        return [out.replace("{gamma}", label) for label in _gamma_labels(gammas)]
     if len(gammas) == 1:
         return [out]
     if out is None:
         raise ConfigError("a --gamma sweep needs --out (one file per value)")
     root, ext = os.path.splitext(out)
-    return [f"{root}_gamma{gv:g}{ext or '.csv'}" for gv in gammas]
+    return [f"{root}_gamma{label}{ext or '.csv'}" for label in _gamma_labels(gammas)]
+
+
+def _gamma_labels(gammas: list[float]) -> list[str]:
+    """Each value as {gamma:g}, or as its round-tripping repr where those collide."""
+    short = [f"{gv:g}" for gv in gammas]
+    return [repr(gv) if short.count(label) > 1 else label for gv, label in zip(gammas, short)]
 
 
 def _cmd_endemic(args: argparse.Namespace) -> int:

@@ -26,6 +26,10 @@ from .spectral import dominant_eig
 EXCURSION_TOL = 1e-9
 STATE_TOL = 1e-9
 STATIONARY_TOL = 1e-10
+MAX_STEPS = 10**9
+# t_end / dt may differ from a whole number by this share of it: the rounding
+# of decimal inputs and of the division, not a shortened or lengthened run.
+STEP_COUNT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,9 @@ def integrate(
     the right-hand side over the block drops below STATIONARY_TOL (the
     standard surrogate for the t -> infinity limits).
 
-    Raises InvariantViolationError if a step leaves [0, 1]^n by more than
+    Raises ValueError unless t_end is a whole number of steps dt, within
+    STEP_COUNT_RTOL, and at most MAX_STEPS of them. Raises
+    InvariantViolationError if a step leaves [0, 1]^n by more than
     EXCURSION_TOL (meaning dt is too large) or produces NaN, in any column.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
@@ -199,6 +205,12 @@ def integrate(
         raise ValueError("dt must be positive")
     if t_end < dt:
         raise ValueError("t_end must be at least dt")
+    steps = t_end / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > STEP_COUNT_RTOL * n_steps:
+        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
@@ -208,7 +220,6 @@ def integrate(
     f = _field(kind, beta, gamma, g)
     y = np.repeat(_pack(kind, state0)[:, None], len(batch), axis=1)
 
-    n_steps = max(1, int(round(t_end / dt)))
     times = [0.0]
     records = [y.copy()]
 

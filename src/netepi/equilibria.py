@@ -1,80 +1,181 @@
 """Fixed-point computation of the SIS endemic state and the SIR final state.
 
-Both solvers run a monotone iteration whose convergence is guaranteed from
-canonical bracket initializations: iterates approach the fixed point from
-below (non-decreasing) or from above (non-increasing), so the lower and
-upper runs sandwich it and their agreement witnesses uniqueness. The
-monotonicity of each step is asserted at runtime with a small slack for
-roundoff and for the tolerance of the computed eigenvector entering the
-start vectors.
+Both states are fixed points of a monotone map f on a box [0, hi]: the SIS
+map y -> F_+((beta/gamma) A y) on [0, 1] and the SIR H-map on [0, 1 - r0].
+One solver serves both. Newton's method solves y = f(y); each step solves
+(I - diag(c) A) d = y - f(y), where diag(c) A is the Jacobian of f, by a
+matrix-free restarted GMRES. The start is fixed by the model: SIS starts
+above the endemic state, where the concave map keeps the Newton iterates
+from falling to the disease-free state 0, and SIR starts from 0, below its
+fixed point, where the convex H-map keeps them inside the box.
+
+The solver stops on a certificate, not on a step size. Around the Newton
+iterate y it builds the box l = max(y - eps w, 0), u = min(y + eps w, hi)
+with w = (I - diag(c) A)^{-1} 1, doubling eps until f(l) >= l and
+f(u) <= u hold entrywise. A monotone f then maps [l, u] into itself, so the
+box holds a fixed point, and it is the one sought: the H-map has only one
+in [0, 1 - r0], and for SIS l > 0 is required as well, which leaves out the
+disease-free state. A result reports one end of the box, l (a certified
+under-estimate) or u (an over-estimate), and its width max(u - l) <= tol.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BelowThresholdError,
-    InvariantViolationError,
-    NonConvergenceError,
-)
+from .errors import BelowThresholdError, NonConvergenceError
 from .graph import Graph, degree_vector, require_strongly_connected
 from .spectral import dominant_eig
 
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1_000_000
-MONOTONE_SLACK = 1e-12
 NEAR_THRESHOLD_DELTA = 1e-3
+MAX_NEWTON_STEPS = 50
+GMRES_RESTART = 50  # Krylov vectors per GMRES cycle
+GMRES_CYCLES = 20  # restarts before GMRES returns its best iterate
+# Relative GMRES residual for w = J^{-1} 1: J w is then within
+# W_RTOL sqrt(n) of 1 entrywise, positive for n < 1e6, so w stays positive
+# where J^{-1} >= 0, as it is near the fixed point.
+W_RTOL = 1e-3
 
 
 @dataclass(frozen=True)
 class EndemicResult:
-    """SIS endemic state from one bracketed run of the monotone iteration."""
+    """SIS endemic state: one end of a certified enclosure of width <= tol."""
 
     x_star: np.ndarray
-    iterations: int
-    residual: float
-    bracket: str
+    iterations: int  # Newton steps
+    residual: float  # max |F(x_star) - x_star|
+    width: float  # max(u - l) of the enclosure l <= x* <= u
+    bracket: str  # 'lower': x_star = l, 'upper': x_star = u
     warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class SirAsymptoticResult:
-    """Asymptotic (s, r) of the network SIR model from the H-map iteration."""
+    """Asymptotic (s, r) of the network SIR model: one end of a certified enclosure."""
 
     s_inf: np.ndarray
     r_inf: np.ndarray
-    iterations: int
-    residual: float
-    start: str
+    iterations: int  # Newton steps
+    residual: float  # max |H(s_inf) - s_inf|
+    width: float  # max(u - l) of the enclosure l <= s(inf) <= u
+    start: str  # 'zero': s_inf = l, 'upper': s_inf = u
     warnings: tuple[str, ...] = ()
 
 
-def _iterate(f, y0, tol, direction):
-    """Run y <- f(y) until successive iterates agree within tol (sup norm).
+def _gmres(apply, b, rtol):
+    """Solve apply(x) = b from x = 0 by restarted GMRES with Givens rotations.
 
-    direction +1/-1 asserts entrywise non-decreasing/non-increasing steps.
-    Returns (fixed_point, applications, residual) where residual is the
-    verified sup-norm of f(fixed_point) - fixed_point; raises
-    NonConvergenceError after DEFAULT_MAX_ITER applications.
+    Each cycle builds at most GMRES_RESTART orthonormal Krylov vectors
+    (Gram-Schmidt, applied twice) and stops once the residual estimate is at
+    most rtol ||b||_2. Returns the last iterate, also when GMRES_CYCLES
+    cycles do not reach rtol: an inexact Newton step is still a step, and
+    the certificate decides whether the result holds.
     """
-    y = np.asarray(y0, dtype=float)
-    for it in range(1, DEFAULT_MAX_ITER + 1):
-        y_next = f(y)
-        if direction > 0 and np.any(y_next < y - MONOTONE_SLACK):
-            raise InvariantViolationError("iterates failed to be non-decreasing")
-        if direction < 0 and np.any(y_next > y + MONOTONE_SLACK):
-            raise InvariantViolationError("iterates failed to be non-increasing")
-        diff = float(np.abs(y_next - y).max())
-        if diff <= tol:
-            residual = float(np.abs(f(y_next) - y_next).max())
-            if residual <= tol:
-                return y_next, it, residual
-        y = y_next
+    n = b.shape[0]
+    m = min(GMRES_RESTART, n)
+    x = np.zeros(n)
+    r = b
+    target = rtol * np.linalg.norm(b)
+    for _ in range(GMRES_CYCLES):
+        norm_r = np.linalg.norm(r)
+        if not norm_r > target:
+            break
+        basis = np.empty((m + 1, n))
+        basis[0] = r / norm_r
+        tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+        cos, sin = [], []
+        rhs = [norm_r]  # rotated right-hand side; |rhs[-1]| is the residual norm
+        for k in range(m):
+            v = apply(basis[k])
+            h = basis[: k + 1] @ v
+            v = v - h @ basis[: k + 1]
+            h2 = basis[: k + 1] @ v
+            v = v - h2 @ basis[: k + 1]
+            col = (h + h2).tolist()
+            below = float(np.linalg.norm(v))
+            for j in range(k):
+                col[j], col[j + 1] = (
+                    cos[j] * col[j] + sin[j] * col[j + 1],
+                    cos[j] * col[j + 1] - sin[j] * col[j],
+                )
+            diag = math.hypot(col[k], below)
+            cos.append(col[k] / diag)
+            sin.append(below / diag)
+            col[k] = diag
+            tri[: k + 1, k] = col
+            rhs.append(-sin[k] * rhs[k])
+            rhs[k] *= cos[k]
+            if abs(rhs[k + 1]) <= target or below == 0.0:
+                break
+            basis[k + 1] = v / below
+        x = x + np.linalg.solve(tri[: k + 1, : k + 1], rhs[: k + 1]) @ basis[: k + 1]
+        r = b - apply(x)
+    return x
+
+
+def _enclosure(f, jac, y, r_norm, hi, tol, positive):
+    """Bounds (l, u) with l <= x* <= u and max(u - l) <= tol, or None.
+
+    l = max(y - eps w, 0) and u = min(y + eps w, hi) for w = jac^{-1} 1,
+    which is positive near the fixed point; eps doubles from
+    2 ||y - f(y)|| / min w until f(l) >= l and f(u) <= u, and l > 0 if
+    `positive`. None once the box is wider than tol or fills [0, hi].
+    """
+    w = _gmres(jac, np.ones_like(y), W_RTOL)
+    w_min = w.min()
+    if not w_min > 0:
+        return None
+    floor = np.finfo(float).eps * np.abs(y).max()
+    eps = 2.0 * max(r_norm, floor) / w_min
+    while eps * w_min <= np.max(hi):
+        lower = np.maximum(y - eps * w, 0.0)
+        upper = np.minimum(y + eps * w, hi)
+        if not (upper - lower).max() <= tol or (positive and not lower.min() > 0):
+            return None
+        if np.all(f(lower) >= lower) and np.all(f(upper) <= upper):
+            return lower, upper
+        eps *= 2.0
+    return None
+
+
+def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
+    """Fixed point of the monotone map f on [0, hi], certified to width tol.
+
+    The Jacobian of f at y is diag(slope(f(y))) A, with A the adjacency of
+    g. Newton steps run from y. An iterate is offered to _enclosure once the
+    next step, estimated as ||y - f(y)|| times the last step's ratio
+    ||d|| / ||y - f(y)||, is at most tol. Returns (l, u, newton_steps);
+    raises NonConvergenceError if MAX_NEWTON_STEPS steps give no
+    certificate, which also happens when tol is too small for doubles.
+    """
+    gain = None  # ||d|| / ||y - f(y)|| of the last step
+    for steps in range(MAX_NEWTON_STEPS + 1):
+        fy = f(y)
+        c = slope(fy)
+        r = y - fy
+        r_norm = np.abs(r).max()
+
+        def jac(v):
+            return v - c * g.matvec(v)
+
+        if gain is not None and r_norm * gain <= tol:
+            bounds = _enclosure(f, jac, y, r_norm, hi, tol, positive)
+            if bounds is not None:
+                return (*bounds, steps)
+        if steps == MAX_NEWTON_STEPS:
+            break
+        # Forcing term ||r||, for inexact steps that still converge quadratically;
+        # floored where the residual of J d would be roundoff.
+        d = _gmres(jac, r, min(0.1, max(r_norm, 1e-12)))
+        y = np.clip(y - d, 0.0, hi)
+        gain = np.abs(d).max() / r_norm if r_norm > 0 else 0.0
     raise NonConvergenceError(
-        f"fixed-point iteration did not reach tol={tol} in {DEFAULT_MAX_ITER} iterations"
+        f"Newton-GMRES certified no enclosure of width <= {tol} "
+        f"in {MAX_NEWTON_STEPS} steps"
     )
 
 
@@ -96,7 +197,7 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
 
 
 def sis_bracket_start(u_max: np.ndarray, r0: float, bracket: str) -> np.ndarray:
-    """Canonical start vector for the endemic iteration given R0 > 1."""
+    """Canonical start vector below ('lower') or above ('upper') the endemic state, R0 > 1."""
     scale = 1.0 - 1.0 / r0
     if bracket == "lower":
         return scale * u_max / u_max.max()
@@ -114,13 +215,14 @@ def sis_endemic(
 ) -> EndemicResult:
     """Endemic state of the network SIS model above threshold.
 
-    Iterates y -> F_+((beta/gamma) A y) from the canonical bracket start:
-    'lower' produces a non-decreasing sequence, 'upper' a non-increasing one,
-    both converging to the unique strictly positive equilibrium. These are
-    the only starts for which monotone convergence is guaranteed. Stops once
-    successive iterates and the residual are within tol (default
-    DEFAULT_TOL); raises NonConvergenceError after DEFAULT_MAX_ITER steps.
+    Newton-GMRES on y = F_+((beta/gamma) A y) from the upper bracket start,
+    stopped on a certified enclosure l <= x* <= u with l > 0 and
+    max(u - l) <= tol (default DEFAULT_TOL). bracket='lower' returns l,
+    'upper' returns u. Raises BelowThresholdError if R0 <= 1 and
+    NonConvergenceError if no enclosure is certified.
     """
+    if bracket not in ("lower", "upper"):
+        raise ValueError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
     trip = dominant_eig(g)
     r0 = beta * trip.lambda_max / gamma
     if r0 <= 1.0:
@@ -130,18 +232,25 @@ def sis_endemic(
     delta = r0 - 1.0
     warnings = ()
     if delta < NEAR_THRESHOLD_DELTA:
-        warnings = (
-            f"near threshold (delta = {delta:.3g}): convergence may be slow",
-        )
+        warnings = (f"near threshold (delta = {delta:.3g})",)
 
-    y0 = sis_bracket_start(trip.u_max, r0, bracket)
-    direction = +1 if bracket == "lower" else -1
     f = sis_fixed_point_map(g, beta, gamma)
-    x_star, iterations, residual = _iterate(f, y0, tol, direction)
+    k = beta / gamma
+    lower, upper, steps = _certified_fixed_point(
+        f,
+        lambda fy: k * (1.0 - fy) ** 2,  # f_+'(z) = 1/(1+z)^2 = (1 - f_+(z))^2
+        g,
+        sis_bracket_start(trip.u_max, r0, "upper"),
+        1.0,
+        tol,
+        positive=True,
+    )
+    x_star = lower if bracket == "lower" else upper
     return EndemicResult(
         x_star=x_star,
-        iterations=iterations,
-        residual=residual,
+        iterations=steps,
+        residual=float(np.abs(f(x_star) - x_star).max()),
+        width=float((upper - lower).max()),
         bracket=bracket,
         warnings=warnings,
     )
@@ -202,13 +311,12 @@ def sir_asymptotic(
     tol: float = DEFAULT_TOL,
     start: str = "zero",
 ) -> SirAsymptoticResult:
-    """Asymptotic state of the network SIR model via the H-map iteration.
+    """Asymptotic state of the network SIR model: the fixed point of the H-map.
 
-    start='zero' iterates from the zero vector (non-decreasing sequence),
-    start='upper' from 1 - r0 (non-increasing); both converge to the same
-    fixed point. Stops once successive iterates and the residual are within
-    tol (default DEFAULT_TOL); raises NonConvergenceError after
-    DEFAULT_MAX_ITER steps.
+    Newton-GMRES from 0, stopped on a certified enclosure l <= s(inf) <= u
+    in [0, 1 - r0] with max(u - l) <= tol (default DEFAULT_TOL).
+    start='zero' returns l, 'upper' returns u. Raises NonConvergenceError if
+    no enclosure is certified.
     """
     require_strongly_connected(g)
     s0 = np.asarray(s0, dtype=float)
@@ -221,21 +329,21 @@ def sir_asymptotic(
         raise ValueError("x0 must have at least one infected node")
     if not np.abs(s0 + x0 + r0 - 1.0).max() <= 1e-9:
         raise ValueError("s0 + x0 + r0 must equal 1 at every node")
-
-    if start == "zero":
-        y0, direction = np.zeros_like(s0), +1
-    elif start == "upper":
-        y0, direction = 1.0 - r0, -1
-    else:
+    if start not in ("zero", "upper"):
         raise ValueError(f"start must be 'zero' or 'upper', got {start!r}")
 
     h = sir_fixed_point_map(g, beta, gamma, s0, r0)
-    s_inf, iterations, residual = _iterate(h, y0, tol, direction)
+    k = beta / gamma
+    lower, upper, steps = _certified_fixed_point(
+        h, lambda hy: k * hy, g, np.zeros_like(s0), 1.0 - r0, tol
+    )
+    s_inf = lower if start == "zero" else upper
     return SirAsymptoticResult(
         s_inf=s_inf,
         r_inf=1.0 - s_inf,
-        iterations=iterations,
-        residual=residual,
+        iterations=steps,
+        residual=float(np.abs(h(s_inf) - s_inf).max()),
+        width=float((upper - lower).max()),
         start=start,
         warnings=(),
     )

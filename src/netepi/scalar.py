@@ -26,7 +26,9 @@ class ModelKind(str, enum.Enum):
 
 
 def _check_fraction(x0):
-    if np.any(np.asarray(x0) < 0) or np.any(np.asarray(x0) > 1):
+    x0 = np.asarray(x0)
+    # Written so that a NaN entry fails the test.
+    if not (np.all(x0 >= 0) and np.all(x0 <= 1)):
         raise ValueError("initial fraction must lie in [0, 1]")
 
 
@@ -73,7 +75,7 @@ def sir_rinf(s0: float, r0: float, beta: float, gamma: float) -> float:
     down to a bracket of width RINF_BRACKET_WIDTH; the bracket always
     contains exactly one root under the preconditions.
     """
-    if s0 <= 0 or r0 < 0 or s0 + r0 > 1:
+    if not (s0 > 0 and r0 >= 0 and s0 + r0 <= 1):
         raise ValueError("need s0 > 0, r0 >= 0, s0 + r0 <= 1")
     x0 = 1.0 - s0 - r0
     if x0 == 0.0:
@@ -100,7 +102,7 @@ def sir_xmax(s0: float, x0: float, beta: float, gamma: float) -> float:
     Only valid for beta s0 / gamma >= 1 (at equality the peak is at t = 0 and
     the formula collapses to x0).
     """
-    if s0 <= 0 or x0 <= 0 or s0 + x0 > 1:
+    if not (s0 > 0 and x0 > 0 and s0 + x0 <= 1):
         raise ValueError("need s0 > 0, x0 > 0, s0 + x0 <= 1")
     rho = gamma / beta
     if s0 < rho:

@@ -51,7 +51,7 @@ def test_endemic_json_document(pair_graph, tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"x_star", "iterations", "residual", "bracket", "warnings"}
+    assert set(doc) == {"x_star", "iterations", "residual", "width", "bracket", "warnings"}
     np.testing.assert_allclose(doc["x_star"], 0.5, atol=1e-9)  # 1 - gamma/(beta*1)
     assert doc["bracket"] == "lower"
     assert doc["residual"] <= 1e-10
@@ -185,11 +185,43 @@ def test_out_template_names_each_run(g20_file, tmp_path, model, gammas, code):
     assert sorted(p.name for p in tmp_path.glob("traj_*")) == [f"traj_{gv}.csv" for gv in gammas]
 
 
-@pytest.mark.parametrize("gammas", ["1,1", "0.1234567,0.1234568"])
+@pytest.mark.parametrize("gammas", ["1,1", "1,1.0"])
 def test_sweep_rejects_colliding_output_files(g20_file, tmp_path, capsys, gammas):
     assert _simulate(g20_file, "SIS", gammas, tmp_path / "sweep.csv", "--dt", "0.01") == 2
     assert "would write one file twice" in capsys.readouterr().err
     assert not list(tmp_path.glob("sweep*"))
+
+
+@pytest.mark.parametrize("out, stem", [("sweep.csv", "sweep_gamma"), ("traj_{gamma}.csv", "traj_")])
+def test_close_gammas_are_named_by_repr(g20_file, tmp_path, out, stem):
+    # {gamma:g} reads 0.123457 for both close values; 2 and 0.5 keep their short names.
+    assert _simulate(g20_file, "SIS", "2,0.1234567,0.1234568,0.5", tmp_path / out, "--dt", "0.01") == 0
+    labels = ["0.1234567", "0.1234568", "0.5", "2"]
+    assert sorted(p.name for p in tmp_path.glob(f"{stem}*")) == [f"{stem}{v}.csv" for v in labels]
+    single = tmp_path / "single.csv"
+    assert _simulate(g20_file, "SIS", "0.1234568", single, "--dt", "0.01") == 0
+    assert (tmp_path / f"{stem}0.1234568.csv").read_bytes() == single.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        ("0.0105", "0.001", "not a whole number of steps"),
+        ("0.5", "0.3", "not a whole number of steps"),
+        ("1e300", "1e-300", "exceeds the limit"),
+        ("1e6", "1e-6", "exceeds the limit"),
+    ],
+)
+def test_simulate_needs_a_whole_bounded_step_count(pair_graph, tmp_path, capsys, t_end, dt, message):
+    out = tmp_path / "traj.csv"
+    code = main(
+        ["simulate", "--graph", pair_graph, "--model", "SIS", "--beta", "1", "--gamma", "1",
+         "--x0-uniform", "0.1", "--t-end", t_end, "--dt", dt, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err and message in captured.err
+    assert not out.exists()
 
 
 def test_jobs_is_rejected(g20_file, tmp_path, capsys):
@@ -522,6 +554,29 @@ def test_number_flags_must_be_positive_and_finite(pair_graph, capsys, flag, valu
     assert "bad configuration" in captured.err and "must be positive and finite" in captured.err
     assert captured.out == ""
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "SI", "--beta", "1", "--x0", "nan", "--t-end", "1"],
+        ["--model", "SIS", "--beta", "1", "--gamma", "0.5", "--x0", "nan", "--t-end", "1"],
+        ["--model", "SIR", "--beta", "1", "--gamma", "1", "--s0", "nan"],
+        ["--model", "SIR", "--beta", "2", "--gamma", "1", "--s0", "0.9", "--r0", "nan"],
+    ],
+)
+def test_scalar_rejects_nan_fractions(capsys, argv):
+    assert main(["scalar", *argv]) == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err
+    assert captured.out == ""
+
+
+def test_uncertifiable_tol_exits_5(pair_graph, capsys):
+    code = main(["endemic", "--graph", pair_graph, "--beta", "2", "--gamma", "1", "--tol", "1e-300"])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("dt", ["-0.1", "0"])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netepi import (
     BelowThresholdError,
     ModelParams,
+    NonConvergenceError,
     dominant_eig,
     initial_state,
     integrate,
@@ -19,6 +22,39 @@ from netepi.equilibria import sis_bracket_start
 from conftest import complete_graph, directed_ring, random_sc_graph, symmetric_pair, two_node
 
 SLACK = 1e-12
+# Roundoff of the dense Newton references below, which the certified
+# enclosures (width <= 1e-10) are checked against.
+REFERENCE_SLACK = 1e-15
+
+
+def _dense_newton(f, jacobian, y):
+    """Newton's method for y = f(y) with dense LU solves, to roundoff."""
+    for _ in range(200):
+        step = np.linalg.solve(np.eye(y.shape[0]) - jacobian(y), y - f(y))
+        y = y - step
+        if np.abs(step).max() <= 64 * np.finfo(float).eps * np.abs(y).max():
+            return y
+    raise AssertionError("dense Newton reference did not converge")
+
+
+def _sis_reference(g, beta, gamma):
+    """From the all-ones vector, above the endemic state, so never to 0."""
+    m = (beta / gamma) * g.adjacency
+
+    def f(y):
+        z = m @ y
+        return z / (1.0 + z)
+
+    return _dense_newton(f, lambda y: (1.0 / (1.0 + m @ y) ** 2)[:, None] * m, np.ones(g.n))
+
+
+def _sir_reference(g, beta, gamma, s0, r0):
+    m = (beta / gamma) * g.adjacency
+
+    def h(y):
+        return s0 * np.exp(m @ (y - 1.0 + r0))
+
+    return _dense_newton(h, lambda y: h(y)[:, None] * m, np.zeros(g.n))
 
 
 def test_regular_graph_endemic_is_uniform():
@@ -63,6 +99,49 @@ def test_bracket_monotonicity_and_agreement():
     res_up = sis_endemic(g, beta, gamma, tol=tol, bracket="upper")
     assert np.abs(res_lo.x_star - res_up.x_star).max() <= 2 * tol
     assert res_lo.x_star.min() > 0 and res_lo.x_star.max() < 1
+
+
+@pytest.mark.parametrize("r0", [1.001, 1.01, 2.0, 10.0])
+def test_endemic_enclosure_holds_the_dense_newton_state(r0):
+    g = random_sc_graph(np.random.default_rng(21), n=30)
+    beta, gamma, tol = r0 / dominant_eig(g).lambda_max, 1.0, 1e-10
+    lower = sis_endemic(g, beta, gamma, tol=tol, bracket="lower")
+    upper = sis_endemic(g, beta, gamma, tol=tol, bracket="upper")
+    reference = _sis_reference(g, beta, gamma)
+    assert np.all(lower.x_star <= reference + REFERENCE_SLACK)
+    assert np.all(reference <= upper.x_star + REFERENCE_SLACK)
+    assert lower.width == upper.width <= tol
+    assert np.abs(upper.x_star - lower.x_star).max() == lower.width
+    assert lower.x_star.min() > 0  # never the disease-free state
+    assert lower.residual <= tol and upper.residual <= tol
+
+
+@given(
+    n=st.integers(min_value=2, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    r0=st.floats(min_value=1.01, max_value=20.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_lower_results_stay_below_upper_results(n, seed, r0):
+    g = random_sc_graph(np.random.default_rng(seed), n=n)
+    beta, gamma, tol = r0 / dominant_eig(g).lambda_max, 1.0, 1e-10
+    lower = sis_endemic(g, beta, gamma, tol=tol, bracket="lower")
+    upper = sis_endemic(g, beta, gamma, tol=tol, bracket="upper")
+    assert np.all(0 < lower.x_star) and np.all(lower.x_star <= upper.x_star)
+    assert np.all(upper.x_star - lower.x_star <= tol)
+    x0 = np.zeros(n)
+    x0[seed % n] = 0.5
+    zero = sir_asymptotic(g, beta, gamma, 1.0 - x0, x0, np.zeros(n), tol=tol, start="zero")
+    top = sir_asymptotic(g, beta, gamma, 1.0 - x0, x0, np.zeros(n), tol=tol, start="upper")
+    assert np.all(zero.s_inf <= top.s_inf) and np.all(top.s_inf - zero.s_inf <= tol)
+
+
+def test_uncertifiable_tol_raises_non_convergence():
+    with pytest.raises(NonConvergenceError, match="width"):
+        sis_endemic(two_node(), 1.0, 1.0, tol=1e-300)
+    g, beta, gamma, s0, x0, r0 = _sir_setup()
+    with pytest.raises(NonConvergenceError, match="width"):
+        sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=1e-300)
 
 
 def test_endemic_matches_long_sis_integration():
@@ -145,6 +224,26 @@ def test_sir_both_starts_agree():
     assert np.abs(res_zero.s_inf - res_upper.s_inf).max() <= 2 * tol
     np.testing.assert_allclose(res_zero.r_inf, 1.0 - res_zero.s_inf)
     assert res_zero.residual <= tol
+
+
+@pytest.mark.parametrize("target_r0", [1.001, 3.0])
+@pytest.mark.parametrize("seeded", [False, True])
+def test_sir_enclosure_holds_the_dense_newton_state(target_r0, seeded):
+    g, beta, gamma, s0, x0, r0 = _sir_setup(n=30, seed=4, target_r0=target_r0)
+    if seeded:  # as --seed-node 1: node 1 has s0 = 0, so its s(inf) is exactly 0
+        x0 = np.zeros(30)
+        x0[0] = 1.0
+        s0 = 1.0 - x0
+    tol = 1e-10
+    zero = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="zero")
+    upper = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="upper")
+    reference = _sir_reference(g, beta, gamma, s0, r0)
+    assert np.all(zero.s_inf <= reference + REFERENCE_SLACK)
+    assert np.all(reference <= upper.s_inf + REFERENCE_SLACK)
+    assert zero.width == upper.width <= tol
+    assert zero.residual <= tol and upper.residual <= tol
+    if seeded:
+        assert zero.s_inf[0] == 0.0
 
 
 def test_sir_bracket_sequences():
