@@ -33,6 +33,7 @@ from .errors import (
     BelowThresholdError,
     EmptyInputError,
     GraphFormatError,
+    InputError,
     InvariantViolationError,
     NetEpiError,
     NonConvergenceError,
@@ -104,6 +105,7 @@ __all__ = [
     "NetEpiError",
     "GraphFormatError",
     "EmptyInputError",
+    "InputError",
     "ReducibleMatrixError",
     "BelowThresholdError",
     "NonConvergenceError",

@@ -34,6 +34,7 @@ from . import dynamics, equilibria, scalar, threshold
 from .errors import (
     BelowThresholdError,
     GraphFormatError,
+    InputError,
     InvariantViolationError,
     NonConvergenceError,
     ReducibleMatrixError,
@@ -121,7 +122,7 @@ def _parse_with_config(command: str, path: str, flags: list[str]) -> argparse.Na
     try:
         with open(path) as fp:
             file_values = json.load(fp)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"cannot read config file: {e}") from e
     if not isinstance(file_values, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -182,7 +183,7 @@ def _read_graph(path: str) -> Graph:
     try:
         with open(path) as fp:
             text = fp.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read graph file: {e}") from e
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("["):
@@ -425,7 +426,7 @@ def run(args: argparse.Namespace) -> int:
     except (NonConvergenceError, InvariantViolationError) as e:
         print(f"netepi: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, InputError, OSError) as e:
         print(f"netepi: bad configuration: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

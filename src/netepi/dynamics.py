@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InputError, InvariantViolationError
 from .graph import Graph
 from .scalar import ModelKind
 from .spectral import dominant_eig
@@ -43,13 +43,13 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise InputError("beta must be positive")
         if self.kind is ModelKind.SI:
             if self.gamma is not None:
-                raise ValueError("SI has no recovery rate")
+                raise InputError("SI has no recovery rate")
         else:
             if self.gamma is None or self.gamma <= 0:
-                raise ValueError(f"{self.kind.value} requires gamma > 0")
+                raise InputError(f"{self.kind.value} requires gamma > 0")
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,13 @@ class EpidemicState:
         s, x, r = (np.asarray(v, dtype=float) for v in (self.s, self.x, self.r))
         n = s.shape[0]
         if s.shape != (n,) or x.shape != (n,) or r.shape != (n,):
-            raise ValueError("s, x, r must be equal-length vectors")
+            raise InputError("s, x, r must be equal-length vectors")
         # Written so that a NaN entry fails each test.
         for name, v in (("s", s), ("x", x), ("r", r)):
             if not np.all((v >= -STATE_TOL) & (v <= 1 + STATE_TOL)):
-                raise ValueError(f"{name} has entries outside [0, 1]")
+                raise InputError(f"{name} has entries outside [0, 1]")
         if not np.abs(s + x + r - 1.0).max() <= STATE_TOL:
-            raise ValueError("s + x + r must equal 1 at every node")
+            raise InputError("s + x + r must equal 1 at every node")
         for v in (s, x, r):
             v.setflags(write=False)
         object.__setattr__(self, "s", s)
@@ -90,7 +90,7 @@ def initial_state(kind: ModelKind, x0, r0=None) -> EpidemicState:
         r0 = np.zeros_like(x0) if r0 is None else np.asarray(r0, dtype=float)
     else:
         if r0 is not None and np.any(np.asarray(r0) != 0):
-            raise ValueError(f"{kind.value} has no recovered compartment")
+            raise InputError(f"{kind.value} has no recovered compartment")
         r0 = np.zeros_like(x0)
     return EpidemicState(s=1.0 - x0 - r0, x=x0, r=r0)
 
@@ -185,37 +185,37 @@ def integrate(
     the right-hand side over the block drops below STATIONARY_TOL (the
     standard surrogate for the t -> infinity limits).
 
-    Raises ValueError unless t_end is a whole number of steps dt, within
+    Raises InputError unless t_end is a whole number of steps dt, within
     STEP_COUNT_RTOL, and at most MAX_STEPS of them. Raises
     InvariantViolationError if a step leaves [0, 1]^n by more than
     EXCURSION_TOL (meaning dt is too large) or produces NaN, in any column.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
     if not batch:
-        raise ValueError("need at least one parameter set")
+        raise InputError("need at least one parameter set")
     kind, beta = batch[0].kind, batch[0].beta
     if any(p.kind is not kind or p.beta != beta for p in batch):
-        raise ValueError("batched runs must share model kind and beta")
+        raise InputError("batched runs must share model kind and beta")
     if dt is None:
         steps = {default_step(p) for p in batch}
         if len(steps) > 1:
-            raise ValueError("batched runs must share one step size; pass dt")
+            raise InputError("batched runs must share one step size; pass dt")
         dt = steps.pop()
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise InputError("dt must be positive")
     if t_end < dt:
-        raise ValueError("t_end must be at least dt")
+        raise InputError("t_end must be at least dt")
     steps = t_end / dt
     if not steps <= MAX_STEPS:
-        raise ValueError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+        raise InputError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
     n_steps = round(steps)
     if abs(steps - n_steps) > STEP_COUNT_RTOL * n_steps:
-        raise ValueError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
+        raise InputError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
     if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+        raise InputError("record_every must be >= 1")
 
     if state0.n != g.n:
-        raise ValueError("state and graph dimensions differ")
+        raise InputError("state and graph dimensions differ")
     gamma = None if kind is ModelKind.SI else np.array([p.gamma for p in batch])
     f = _field(kind, beta, gamma, g)
     y = np.repeat(_pack(kind, state0)[:, None], len(batch), axis=1)
@@ -299,16 +299,16 @@ def late_time_decay_rates(traj: Trajectory, window: tuple[float, float]) -> np.n
     -beta * d_i with d the degree vector.
     """
     if traj.x[-1].min() <= 1.0 - 1e-2:
-        raise ValueError("trajectory has not reached near full contagion")
+        raise InputError("trajectory has not reached near full contagion")
     t_lo, t_hi = window
     if t_lo < traj.times[0] or t_hi > traj.times[-1] or t_lo >= t_hi:
-        raise ValueError("window outside trajectory")
+        raise InputError("window outside trajectory")
     mask = (traj.times >= t_lo) & (traj.times <= t_hi)
     if mask.sum() < 2:
-        raise ValueError("window contains fewer than two samples")
+        raise InputError("window contains fewer than two samples")
     sw = traj.s[mask]
     if np.any(sw <= 0):
-        raise ValueError("susceptible fraction hit zero inside the window")
+        raise InputError("susceptible fraction hit zero inside the window")
     coeffs = np.polyfit(traj.times[mask], np.log(sw), 1)
     return coeffs[0]
 
@@ -340,17 +340,20 @@ def trajectory_csv_text(traj: Trajectory) -> str:
 
 def read_trajectory_csv(fp, params: ModelParams | None = None) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv."""
-    header = fp.readline().strip()
-    cols = header.split(",")
+    try:
+        header = fp.readline()  # UnicodeDecodeError is a ValueError
+        data = np.loadtxt(fp, delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise InputError(f"not a trajectory CSV: {e}") from e
+    cols = header.strip().split(",")
     if not cols or cols[0] != "t" or (len(cols) - 1) % 3 != 0:
-        raise ValueError("not a trajectory CSV: bad header")
+        raise InputError("not a trajectory CSV: bad header")
     n = (len(cols) - 1) // 3
-    data = np.loadtxt(fp, delimiter=",", ndmin=2)
     if data.shape[1] != 1 + 3 * n:
-        raise ValueError("trajectory CSV rows do not match the header")
+        raise InputError("trajectory CSV rows do not match the header")
     times = data[:, 0]
     if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("trajectory times must be strictly increasing")
+        raise InputError("trajectory times must be strictly increasing")
     dt = float(np.min(np.diff(times))) if len(times) > 1 else 0.0
     return Trajectory(
         times=times,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BelowThresholdError, NonConvergenceError
+from .errors import BelowThresholdError, InputError, NonConvergenceError
 from .graph import Graph, degree_vector, require_strongly_connected
 from .spectral import dominant_eig
 
@@ -203,7 +203,7 @@ def sis_bracket_start(u_max: np.ndarray, r0: float, bracket: str) -> np.ndarray:
         return scale * u_max / u_max.max()
     if bracket == "upper":
         return scale * u_max / u_max.min()
-    raise ValueError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
+    raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
 
 
 def sis_endemic(
@@ -222,7 +222,7 @@ def sis_endemic(
     NonConvergenceError if no enclosure is certified.
     """
     if bracket not in ("lower", "upper"):
-        raise ValueError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
+        raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
     trip = dominant_eig(g)
     r0 = beta * trip.lambda_max / gamma
     if r0 <= 1.0:
@@ -277,7 +277,7 @@ def sis_endemic_expansion_high_rate(g: Graph, beta: float, gamma: float) -> np.n
     """
     d = degree_vector(g)
     if np.any(d <= 0):
-        raise ValueError("every node needs positive out-strength (row sum)")
+        raise InputError("every node needs positive out-strength (row sum)")
     return 1.0 - (gamma / beta) / d
 
 
@@ -324,13 +324,13 @@ def sir_asymptotic(
     r0 = np.asarray(r0, dtype=float)
     # Written so that a NaN entry fails each test.
     if not (np.all(s0 >= 0) and np.all(x0 >= 0) and np.all(r0 >= 0)):
-        raise ValueError("s0, x0, r0 must be nonnegative")
+        raise InputError("s0, x0, r0 must be nonnegative")
     if not np.any(x0 > 0):
-        raise ValueError("x0 must have at least one infected node")
+        raise InputError("x0 must have at least one infected node")
     if not np.abs(s0 + x0 + r0 - 1.0).max() <= 1e-9:
-        raise ValueError("s0 + x0 + r0 must equal 1 at every node")
+        raise InputError("s0 + x0 + r0 must equal 1 at every node")
     if start not in ("zero", "upper"):
-        raise ValueError(f"start must be 'zero' or 'upper', got {start!r}")
+        raise InputError(f"start must be 'zero' or 'upper', got {start!r}")
 
     h = sir_fixed_point_map(g, beta, gamma, s0, r0)
     k = beta / gamma

@@ -9,6 +9,14 @@ class NetEpiError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(NetEpiError, ValueError):
+    """An argument outside the documented domain (the CLI exits 2 on it).
+
+    Also a ValueError, so code that catches ValueError still catches it; a
+    plain ValueError from inside the package is a bug, not bad input.
+    """
+
+
 class GraphFormatError(NetEpiError):
     """Malformed graph input: bad edge line, bad weight, bad index, duplicate edge."""
 

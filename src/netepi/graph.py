@@ -7,7 +7,8 @@ so row i collects everything that can infect node i. Edge-list text uses
 
 A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
 canonical row-major order, so every product with the adjacency matrix costs
-O(n + nnz). The dense matrix is built only when ``adjacency`` is read.
+O(n + nnz). The dense matrix is built only when ``adjacency`` is read, and
+the strongly connected components only when ``components`` is read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyInputError, GraphFormatError, ReducibleMatrixError
+from .errors import EmptyInputError, GraphFormatError, InputError, ReducibleMatrixError
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -44,20 +45,26 @@ class Graph:
         rows, cols = np.nonzero(a)
         self._set(a.shape[0], rows, cols, a[rows, cols])
 
-    def _set(self, n, rows, cols, weights) -> None:
+    def _set(self, n, rows, cols, weights, label_cache=None) -> None:
         for name, value in (("rows", rows), ("cols", cols), ("weights", weights)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_blocks", {})  # B -> matmat index arrays
+        # positive-weight support -> SCC labels, shared by graphs with these edges
+        object.__setattr__(self, "_label_cache", {} if label_cache is None else label_cache)
 
     def with_weights(self, weights) -> Graph:
-        """The same edges with new nonnegative weights, one per edge."""
+        """The same edges with new nonnegative weights, one per edge.
+
+        The new graph shares this one's cache of component labels, so a
+        support that either has seen costs no second SCC pass.
+        """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != self.weights.shape:
-            raise ValueError(f"need {self.nnz} weights, got shape {weights.shape}")
+            raise InputError(f"need {self.nnz} weights, got shape {weights.shape}")
         _check_weights(weights)
-        return _edge_graph(self.n, self.rows, self.cols, weights)
+        return _edge_graph(self.n, self.rows, self.cols, weights, self._label_cache)
 
     @property
     def nnz(self) -> int:
@@ -102,11 +109,27 @@ class Graph:
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Strongly connected component label of each node, along positive-weight edges.
 
-def _edge_graph(n, rows, cols, weights) -> Graph:
+        One O(n + nnz) pass per distinct support, cached across the graphs
+        with_weights derives from this one.
+        """
+        support = self.weights > 0
+        key = np.packbits(support).tobytes()
+        if key not in self._label_cache:
+            # a[i, j] > 0 is an edge j -> i
+            labels = _scc_labels(self.n, self.cols[support], self.rows[support])
+            labels.setflags(write=False)
+            self._label_cache[key] = labels
+        return self._label_cache[key]
+
+
+def _edge_graph(n, rows, cols, weights, label_cache=None) -> Graph:
     """Graph from edge arrays that are already validated and canonical."""
     g = object.__new__(Graph)
-    g._set(n, rows, cols, weights)
+    g._set(n, rows, cols, weights, label_cache)
     return g
 
 
@@ -216,33 +239,60 @@ def is_strongly_connected(g: Graph) -> bool:
 
     Equivalently, the adjacency matrix is irreducible. For n = 1 this
     requires a positive self-loop (the 1x1 zero matrix is reducible).
-    Costs O(n + nnz): one graph search forward and one backward from node 0.
+    Reads g.components, one O(n + nnz) pass cached on g.
     """
-    positive = g.weights > 0
     if g.n == 1:
-        return bool(positive.any())
-    targets, sources = g.rows[positive], g.cols[positive]
-    # a[i, j] > 0 is an edge j -> i: forward reachability goes source -> target.
-    return _reaches_all(g.n, sources, targets) and _reaches_all(g.n, targets, sources)
+        return bool(np.any(g.weights > 0))
+    return not g.components.any()  # a single component is labelled 0
 
 
-def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
-    """Search from node 0 along the edges tails[k] -> heads[k]; True if all reached."""
+def _scc_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Strongly connected components of the digraph with edges tails[k] -> heads[k].
+
+    Iterative Tarjan (1972): one depth-first search in O(n + nnz) that labels
+    each component, 0 first, as its root finishes.
+    """
     order = np.argsort(tails, kind="stable")
-    start = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n)))).tolist()
+    first = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n)))).tolist()
     out = heads[order].tolist()
-    visited = [False] * n
-    visited[0] = True
-    reached = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in out[start[v] : start[v + 1]]:
-            if not visited[w]:
-                visited[w] = True
-                reached += 1
-                stack.append(w)
-    return reached == n
+    index = [-1] * n  # discovery order
+    low = [0] * n  # smallest discovery index reachable within the search tree
+    label = [-1] * n
+    next_edge = first[:n]
+    on_path = []  # Tarjan's stack of visited, unlabelled nodes
+    visited = components = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        on_path.append(root)
+        search = [root]
+        while search:
+            v = search[-1]
+            k = next_edge[v]
+            if k < first[v + 1]:
+                next_edge[v] = k + 1
+                w = out[k]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    on_path.append(w)
+                    search.append(w)
+                elif label[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            search.pop()
+            if search and low[v] < low[search[-1]]:
+                low[search[-1]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = on_path.pop()
+                    label[w] = components
+                    if w == v:
+                        break
+                components += 1
+    return np.array(label, dtype=np.intp)
 
 
 def require_strongly_connected(g: Graph) -> None:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BelowThresholdError
+from .errors import BelowThresholdError, InputError
 
 RINF_BRACKET_WIDTH = 1e-12
 
@@ -29,7 +29,7 @@ def _check_fraction(x0):
     x0 = np.asarray(x0)
     # Written so that a NaN entry fails the test.
     if not (np.all(x0 >= 0) and np.all(x0 <= 1)):
-        raise ValueError("initial fraction must lie in [0, 1]")
+        raise InputError("initial fraction must lie in [0, 1]")
 
 
 def si_closed_form(x0: float, beta: float, t):
@@ -76,7 +76,7 @@ def sir_rinf(s0: float, r0: float, beta: float, gamma: float) -> float:
     contains exactly one root under the preconditions.
     """
     if not (s0 > 0 and r0 >= 0 and s0 + r0 <= 1):
-        raise ValueError("need s0 > 0, r0 >= 0, s0 + r0 <= 1")
+        raise InputError("need s0 > 0, r0 >= 0, s0 + r0 <= 1")
     x0 = 1.0 - s0 - r0
     if x0 == 0.0:
         return r0
@@ -103,7 +103,7 @@ def sir_xmax(s0: float, x0: float, beta: float, gamma: float) -> float:
     the formula collapses to x0).
     """
     if not (s0 > 0 and x0 > 0 and s0 + x0 <= 1):
-        raise ValueError("need s0 > 0, x0 > 0, s0 + x0 <= 1")
+        raise InputError("need s0 > 0, x0 > 0, s0 + x0 <= 1")
     rho = gamma / beta
     if s0 < rho:
         raise BelowThresholdError(

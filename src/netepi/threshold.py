@@ -3,7 +3,10 @@
 The basic reproduction number of the network models is beta*lambda_max/gamma
 with lambda_max the dominant eigenvalue of the adjacency matrix; along an
 SIR trajectory the effective reproduction number R(t) uses the shrinking
-matrix diag(s(t)) A instead and is non-increasing in time.
+matrix diag(s(t)) A instead and is non-increasing in time. lambda_max comes
+with a certified width, |lambda_max - rho(A)| <= width, and R0 is classified
+as below or above threshold only when beta*(lambda_max -/+ width)/gamma
+leaves out 1; otherwise it is "critical": undecided at this precision.
 """
 
 from __future__ import annotations
@@ -13,33 +16,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
+from .errors import InputError
 from .graph import Graph
 from .spectral import dominant_eig, effective_matrix, spectral_radius
-
-CRITICAL_WINDOW = 1e-12
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
+    """R0 = beta*lambda_max/gamma and its side of the threshold.
+
+    classification is "below" or "above" when the whole certified enclosure
+    beta*(lambda_max +/- width)/gamma lies on that side of 1, and "critical"
+    when it holds 1. crossing_time is the first time R(t) drops below 1, if
+    a trajectory was given and it does.
+    """
+
     r0: float
     classification: str  # below | above | critical
     lambda_max: float
     crossing_time: float | None = None
 
 
-def _classify(r0: float) -> str:
-    if abs(r0 - 1.0) <= CRITICAL_WINDOW:
-        return "critical"
-    return "above" if r0 > 1.0 else "below"
-
-
 def reproduction_number(g: Graph, beta: float, gamma: float) -> ThresholdReport:
-    """Basic reproduction number R0 = beta * lambda_max(A) / gamma."""
-    if beta <= 0 or gamma <= 0:
-        raise ValueError("rates must be positive")
-    lam = dominant_eig(g).lambda_max
-    r0 = beta * lam / gamma
-    return ThresholdReport(r0=r0, classification=_classify(r0), lambda_max=lam)
+    """Basic reproduction number R0 = beta * lambda_max(A) / gamma, classified."""
+    if not (beta > 0 and gamma > 0):
+        raise InputError("rates must be positive")
+    trip = dominant_eig(g)
+    lam = trip.lambda_max
+    if beta * (lam - trip.width) / gamma > 1.0:
+        classification = "above"
+    elif beta * (lam + trip.width) / gamma < 1.0:
+        classification = "below"
+    else:
+        classification = "critical"
+    return ThresholdReport(r0=beta * lam / gamma, classification=classification, lambda_max=lam)
 
 
 def effective_r_series(
@@ -49,7 +59,8 @@ def effective_r_series(
 
     Each sample's power iteration is warm-started from the previous sample's
     eigenvector; consecutive effective matrices differ only slightly, so a
-    handful of iterations per sample suffices.
+    handful of iterations per sample suffices. Samples that share a zero set
+    of s share one SCC pass (see effective_matrix).
     """
     values = np.empty(len(traj))
     vec = None

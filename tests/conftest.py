@@ -96,3 +96,19 @@ def graph20_edge_list() -> str:
 @pytest.fixture(scope="session")
 def g20() -> Graph:
     return graph20()
+
+
+@pytest.fixture()
+def scc_passes(monkeypatch) -> list:
+    """Records the node count of every strongly-connected-component search."""
+    from netepi import graph
+
+    passes = []
+    search = graph._scc_labels
+
+    def counted(n, tails, heads):
+        passes.append(n)
+        return search(n, tails, heads)
+
+    monkeypatch.setattr(graph, "_scc_labels", counted)
+    return passes

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from netepi import read_trajectory_csv
 from netepi.cli import main
 
 from conftest import graph20_edge_list
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -589,3 +595,48 @@ def test_scalar_rejects_nonpositive_dt(capsys, dt):
     captured = capsys.readouterr()
     assert "bad configuration" in captured.err and "dt must be positive" in captured.err
     assert captured.out == ""
+
+
+def test_internal_value_error_is_not_bad_configuration(pair_graph, monkeypatch):
+    # An internal bug such as a numpy broadcast error must not exit 2.
+    from netepi import threshold
+
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(threshold, "reproduction_number", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["threshold", "--graph", pair_graph, "--beta", "1", "--gamma", "1"])
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--config", "--trajectory"])
+def test_undecodable_input_file_exits_2(pair_graph, tmp_path, capsys, flag):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"t,s_1\xff\xfe\n")
+    argv = {"--graph": pair_graph, "--beta": "1", "--gamma": "1", "--rt-out": str(tmp_path / "rt")}
+    argv[flag] = str(binary)
+    code = main(["threshold", *[token for item in argv.items() for token in item]])
+    assert code == 2
+    assert "bad configuration" in capsys.readouterr().err
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    probe = (
+        "import sys, json; before = set(sys.modules); {imports}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+
+    def loaded(imports):
+        out = subprocess.run(
+            [sys.executable, "-c", probe.format(imports=imports)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        ).stdout
+        return set(json.loads(out))
+
+    extra = loaded("import netepi.cli") - loaded("import numpy")
+    foreign = [
+        m for m in extra
+        if m.split(".")[0] != "netepi" and m.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert foreign == []

@@ -122,17 +122,22 @@ def test_round_trip_property(text):
     assert np.array_equal(g.adjacency, g2.adjacency)
 
 
+def _closure(a: np.ndarray) -> np.ndarray:
+    """Transitive closure: entry [i, j] is True iff a path of length >= 1 runs j -> i."""
+    p = (a > 0).astype(int)
+    closure = p.copy()
+    for _ in range(a.shape[0]):
+        closure = ((closure + closure @ p) > 0).astype(int)
+    return closure > 0
+
+
 def _brute_strongly_connected(a: np.ndarray) -> bool:
     """Transitive-closure oracle: every ordered pair linked by a length>=1 path."""
-    p = (a > 0).astype(int)
     n = a.shape[0]
     if n == 1:
-        return bool(p[0, 0])
-    closure = p.copy()
-    for _ in range(n):
-        closure = ((closure + closure @ p) > 0).astype(int)
+        return bool(a[0, 0] > 0)
     off_diag = ~np.eye(n, dtype=bool)
-    return bool(np.all(closure[off_diag] > 0))
+    return bool(np.all(_closure(a)[off_diag]))
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
@@ -143,6 +148,27 @@ def test_strong_connectivity_matches_brute_force(n, data):
     )
     a = np.array(bits, dtype=float).reshape(n, n)
     assert is_strongly_connected(Graph(a)) == _brute_strongly_connected(a)
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=200)
+def test_component_labels_match_mutual_reachability(n, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    a = np.array(bits, dtype=float).reshape(n, n)
+    labels = Graph(a).components
+    reach = _closure(a) | np.eye(n, dtype=bool)
+    same = labels[:, None] == labels[None, :]
+    np.testing.assert_array_equal(same, reach & reach.T)
+    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+
+
+def test_reweighted_graphs_share_one_scc_pass_per_support(scc_passes):
+    g = directed_ring(4)
+    assert is_strongly_connected(g)
+    assert is_strongly_connected(g.with_weights([2.0, 3.0, 4.0, 5.0]))
+    assert not is_strongly_connected(g.with_weights([0.0, 1.0, 1.0, 1.0]))
+    assert not is_strongly_connected(g.with_weights([0.0, 2.0, 2.0, 2.0]))
+    assert len(scc_passes) == 2
 
 
 # --- edge-list core ---------------------------------------------------------
@@ -236,14 +262,14 @@ def _ring_text(n: int, skip_first: bool = False) -> str:
 
 
 def test_directed_ring_connectivity_is_linear():
-    ring = load_graph(_ring_text(20_000))
     times = []
     for _ in range(3):
+        ring = load_graph(_ring_text(20_000))  # fresh: the components are cached
         start = time.perf_counter()
         assert is_strongly_connected(ring)
         times.append(time.perf_counter() - start)
-    # The ring has n BFS levels. On a 2-core VM the O(n + nnz) search takes
-    # about 15 ms; a search paying O(n) per level takes over a second.
+    # The ring is one search path of depth n. On a 2-core VM the O(n + nnz)
+    # search takes about 16 ms; a search paying O(n) per level takes over a second.
     assert min(times) < 0.25
     assert not is_strongly_connected(load_graph(_ring_text(20_000, skip_first=True)))
 

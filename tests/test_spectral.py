@@ -3,15 +3,23 @@ import pytest
 
 from netepi import (
     Graph,
+    InputError,
     ReducibleMatrixError,
     dominant_eig,
     effective_matrix,
+    reproduction_number,
+    sis_endemic,
     spectral_radius,
 )
+from netepi.spectral import DEFAULT_TOL
 
-from conftest import complete_graph, random_sc_graph, symmetric_pair, two_node
+from conftest import complete_graph, directed_ring, random_sc_graph, symmetric_pair, two_node
 
 TOL = 1e-12
+
+
+def _dense_radius(a) -> float:
+    return float(np.abs(np.linalg.eigvals(np.asarray(a))).max())
 
 
 def test_symmetric_pair():
@@ -60,6 +68,35 @@ def test_agrees_with_dense_eigensolver():
         assert abs(lam - rho) <= 10 * TOL * rho
 
 
+@pytest.mark.parametrize("n", [6, 40, 200])
+def test_width_certifies_the_eigenvalue(n):
+    for seed in range(5):
+        g = random_sc_graph(np.random.default_rng(200 + seed), n=n, density=min(0.3, 5 / n))
+        trip = dominant_eig(g)
+        rho = _dense_radius(g.adjacency)
+        assert 0 <= trip.width <= 2 * DEFAULT_TOL * trip.lambda_max
+        # eigvals itself is off by a few ulps of rho
+        assert abs(trip.lambda_max - rho) <= trip.width + 1e-14 * rho
+
+
+def test_left_vector_is_computed_only_when_read(monkeypatch):
+    calls = []
+    rmatvec = Graph.rmatvec
+
+    def counted(g, x):
+        calls.append(1)
+        return rmatvec(g, x)
+
+    monkeypatch.setattr(Graph, "rmatvec", counted)
+    g = random_sc_graph(np.random.default_rng(5), n=30)
+    sis_endemic(g, 2.0 / dominant_eig(g).lambda_max, 1.0)
+    reproduction_number(g, 1.0, 1.0)
+    assert calls == []
+    trip = dominant_eig(g)
+    v = trip.v_max
+    assert calls and trip.v_max is v
+
+
 def test_monotone_in_state_scaling():
     # s' <= s entrywise implies lambda_max(diag(s') A) <= lambda_max(diag(s) A).
     rng = np.random.default_rng(7)
@@ -77,8 +114,65 @@ def test_reducible_rejected_but_radius_still_works():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ReducibleMatrixError):
         dominant_eig(a)
-    lam, _ = spectral_radius(a)  # nilpotent: falls back past power iteration
+    lam, _ = spectral_radius(a)  # nilpotent: two single-node components
     assert lam == pytest.approx(0.0, abs=1e-9)
+
+
+def _block_triangular(rng, sizes):
+    """Random irreducible diagonal blocks joined by random edges below them."""
+    n = sum(sizes)
+    a = np.tril(rng.uniform(0.1, 2.0, (n, n)) * (rng.random((n, n)) < 0.3), -1)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        a[block, block] = random_sc_graph(rng, n=size).adjacency if size > 1 else 0.0
+        start += size
+    if rng.random() < 0.5:
+        a[0, 0] = rng.uniform(0.1, 2.0)  # a single node with a self-loop counts too
+    return a
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_radius_of_block_triangular_matrices(seed):
+    rng = np.random.default_rng(300 + seed)
+    a = _block_triangular(rng, rng.integers(1, 6, size=rng.integers(2, 5)).tolist())
+    perm = rng.permutation(a.shape[0])
+    a = a[np.ix_(perm, perm)]
+    rho = _dense_radius(a)
+    lam, vec = spectral_radius(Graph(a))
+    assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
+    assert np.all(vec >= 0)
+
+
+def test_radius_of_disjoint_cycles_with_equal_radius():
+    a = np.zeros((7, 7))
+    a[:3, :3] = directed_ring(3, weight=2.0).adjacency
+    a[3:, 3:] = directed_ring(4, weight=2.0).adjacency
+    a[3, 0] = 5.0  # a one-way edge between the cycles keeps them separate
+    lam, vec = spectral_radius(a)
+    assert abs(lam - 2.0) <= 2 * DEFAULT_TOL * 2.0
+    np.testing.assert_allclose(vec, [1 / 3] * 3 + [1 / 4] * 4, rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_radius_with_zeros_in_the_state(seed):
+    rng = np.random.default_rng(400 + seed)
+    g = random_sc_graph(rng, n=30, density=0.1)
+    s = rng.uniform(0.0, 1.0, 30)
+    s[rng.choice(30, size=1 + seed * 3, replace=False)] = 0.0
+    rho = _dense_radius(s[:, None] * g.adjacency)
+    lam, _ = spectral_radius(effective_matrix(s, g))
+    assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_radius_of_nilpotent_dags_is_exactly_zero(n):
+    rng = np.random.default_rng(n)
+    a = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)  # every node reaches only higher ones
+    perm = rng.permutation(n)
+    lam, vec = spectral_radius(a[np.ix_(perm, perm)])
+    assert lam == 0.0
+    assert not vec.any()
 
 
 def test_radius_boundary_states():
@@ -99,6 +193,8 @@ def test_effective_matrix():
     )
     with pytest.raises(ValueError):
         effective_matrix(np.array([0.5, 1.5]), g)
+    with pytest.raises(InputError):
+        effective_matrix(np.array([np.nan, 1.0]), g)
     with pytest.raises(ValueError):
         effective_matrix(np.ones(3), g)
 

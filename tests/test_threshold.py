@@ -5,6 +5,7 @@ from netepi import (
     Graph,
     ModelParams,
     ReducibleMatrixError,
+    Trajectory,
     dominant_eig,
     effective_r_series,
     initial_state,
@@ -78,6 +79,49 @@ def test_series_matches_dense_eigensolver():
         m = traj.s[k][:, None] * g.adjacency
         rho = np.abs(np.linalg.eigvals(m)).max()
         assert values[k] == pytest.approx(beta * rho / gamma, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seed_node_series_is_certified(seed):
+    # From one seed node s is 0 there, so every diag(s) A is reducible.
+    g = random_sc_graph(np.random.default_rng(seed), n=100, density=0.05)
+    beta, gamma = 3.0 / dominant_eig(g).lambda_max, 1.0
+    x0 = np.zeros(100)
+    x0[0] = 1.0
+    traj = _sir_run(g, beta, gamma, x0, t_end=20.0, dt=0.04, record_every=20)
+    _, values = effective_r_series(traj, g, beta, gamma)
+    for k in range(len(traj)):
+        rho = np.abs(np.linalg.eigvals(traj.s[k][:, None] * g.adjacency)).max()
+        exact = beta * rho / gamma
+        assert abs(values[k] - exact) <= 2e-12 * exact
+
+
+def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
+    g = random_sc_graph(np.random.default_rng(41), n=12)
+    s = np.random.default_rng(42).uniform(0.5, 1.0, (8, 12))
+    s[2:5, 0] = 0.0
+    s[5:, [0, 3]] = 0.0  # three zero sets: none, {0}, {0, 3}
+    x = 1.0 - s
+    traj = Trajectory(np.arange(8.0), s, x, np.zeros_like(s), None, 1.0)
+    effective_r_series(traj, g, 1.0, 1.0)
+    assert len(scc_passes) == 3
+
+
+@pytest.mark.parametrize("scale", [-1e-9, -1e-13, 0.0, 1e-13, 1e-9])
+def test_critical_exactly_when_the_enclosure_holds_one(scale):
+    for seed in range(5):
+        g = random_sc_graph(np.random.default_rng(50 + seed), n=20)
+        trip = dominant_eig(g)
+        lam, width = trip.lambda_max, trip.width
+        beta, gamma = 1.0, lam * (1.0 + scale)
+        report = reproduction_number(g, beta, gamma)
+        low, high = beta * (lam - width) / gamma, beta * (lam + width) / gamma
+        holds_one = low <= 1.0 <= high
+        assert (report.classification == "critical") == holds_one
+        if not holds_one:
+            assert report.classification == ("above" if low > 1.0 else "below")
+            rho = np.abs(np.linalg.eigvals(g.adjacency)).max()
+            assert (beta * rho / gamma > 1.0) == (report.classification == "above")
 
 
 def test_series_final_value_on_symmetric_pair():
