@@ -349,6 +349,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
+    if args.rt_out is not None and args.trajectory is None:
+        raise ConfigError("--rt-out needs --trajectory")
     g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)

@@ -6,8 +6,8 @@ Runge-Kutta with a fixed step: the systems are smooth and non-stiff at the
 scales this package targets, and a fixed step keeps invariant monitoring
 deterministic. Roundoff-sized excursions from the box are clamped; anything
 larger than EXCURSION_TOL is treated as an integration failure, not noise.
-Several parameter sets integrate together as the columns of one state
-block, so a recovery-rate sweep pays for one sparse product per RK4 stage.
+Several parameter sets integrate together as the rows of one state block,
+so a recovery-rate sweep pays for one sparse product per RK4 stage.
 """
 
 from __future__ import annotations
@@ -120,9 +120,9 @@ class Trajectory:
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):
     """Time derivatives (ds, dx, dr) of the network model at a state."""
-    gamma = None if params.gamma is None else np.array([params.gamma])
+    gamma = None if params.gamma is None else np.array([[params.gamma]])
     f = _field(params.kind, params.beta, gamma, g)
-    dy = f(_pack(params.kind, state)[:, None])[:, 0]
+    dy = f(_pack(params.kind, state)[None, :])[0]
     if params.kind is ModelKind.SIR:
         n = g.n
         return dy[:n], dy[n : 2 * n], dy[2 * n :]
@@ -137,9 +137,9 @@ def _pack(kind: ModelKind, state: EpidemicState) -> np.ndarray:
 
 
 def _field(kind: ModelKind, beta: float, gamma: np.ndarray | None, g: Graph):
-    """Vector field on a block of working vectors, one column per run.
+    """Vector field on a (B, width) block of working vectors, one row per run.
 
-    gamma is a length-B row (None for SI): column j recovers at gamma[j].
+    gamma is a (B, 1) column (None for SI): row j recovers at gamma[j].
     """
     matmat = g.matmat
     if kind is ModelKind.SI:
@@ -149,10 +149,10 @@ def _field(kind: ModelKind, beta: float, gamma: np.ndarray | None, g: Graph):
     n = g.n
 
     def f(y):
-        s, x = y[:n], y[n : 2 * n]
+        s, x = y[:, :n], y[:, n : 2 * n]
         flow = beta * s * matmat(x)
         recovery = gamma * x
-        return np.concatenate((-flow, flow - recovery, recovery))
+        return np.concatenate((-flow, flow - recovery, recovery), axis=1)
 
     return f
 
@@ -176,8 +176,8 @@ def integrate(
     One ModelParams gives one Trajectory. A sequence of B parameter sets
     sharing kind, beta and step size gives a list of B trajectories, in
     order, all started from state0: they are integrated together as the
-    columns of one (n, B) state block ((3n, B) for SIR), so each RK4 stage
-    costs one matmat, and column j is bit-identical to integrating params[j]
+    rows of one (B, n) state block ((B, 3n) for SIR), so each RK4 stage
+    costs one matmat, and row j is bit-identical to integrating params[j]
     on its own.
 
     Records the initial state, every record_every-th step, and the final
@@ -188,7 +188,7 @@ def integrate(
     Raises InputError unless t_end is a whole number of steps dt, within
     STEP_COUNT_RTOL, and at most MAX_STEPS of them. Raises
     InvariantViolationError if a step leaves [0, 1]^n by more than
-    EXCURSION_TOL (meaning dt is too large) or produces NaN, in any column.
+    EXCURSION_TOL (meaning dt is too large) or produces NaN, in any row.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
     if not batch:
@@ -216,9 +216,9 @@ def integrate(
 
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")
-    gamma = None if kind is ModelKind.SI else np.array([p.gamma for p in batch])
+    gamma = None if kind is ModelKind.SI else np.array([[p.gamma] for p in batch])
     f = _field(kind, beta, gamma, g)
-    y = np.repeat(_pack(kind, state0)[:, None], len(batch), axis=1)
+    y = np.repeat(_pack(kind, state0)[None, :], len(batch), axis=0)
 
     times = [0.0]
     records = [y.copy()]
@@ -259,10 +259,10 @@ def integrate(
 
 def _build_trajectories(times, records, batch, n, dt) -> list[Trajectory]:
     times = np.asarray(times)
-    block = np.asarray(records)  # (rows, width, B)
+    block = np.asarray(records)  # (rows, B, width)
     trajectories = []
     for j, params in enumerate(batch):
-        m = block[:, :, j]
+        m = block[:, j]
         if params.kind is ModelKind.SIR:
             s, x, r = m[:, :n], m[:, n : 2 * n], m[:, 2 * n :]
         else:

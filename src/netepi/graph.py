@@ -7,8 +7,10 @@ so row i collects everything that can infect node i. Edge-list text uses
 
 A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
 canonical row-major order, so every product with the adjacency matrix costs
-O(n + nnz). The dense matrix is built only when ``adjacency`` is read, and
-the strongly connected components only when ``components`` is read.
+O(n + nnz); ``matmat`` multiplies a lane-major (B, n) block of vectors at
+once. The dense matrix is built only when ``adjacency`` is read, and the
+strongly connected components only when ``components`` or
+``irreducible_parts`` is read.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ class Graph:
         object.__setattr__(self, "_blocks", {})  # B -> matmat index arrays
         # positive-weight support -> SCC labels, shared by graphs with these edges
         object.__setattr__(self, "_label_cache", {} if label_cache is None else label_cache)
+        object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
 
     def with_weights(self, weights) -> Graph:
         """The same edges with new nonnegative weights, one per edge.
@@ -75,25 +78,26 @@ class Graph:
         return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.n)
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
-        """A @ X for an (n, B) block in O(B (n + nnz)).
+        """Lane-major block product: row k of the (B, n) result is A @ X[k].
 
-        One bincount over the flattened bins rows * B + j. bincount adds the
-        terms of each bin in edge order, as matvec does, so column j equals
-        matvec(X[:, j]) bit for bit.
+        X is a (B, n) block in any memory order; the cost is O(B (n + nnz)).
+        One bincount over the flattened bins k * n + rows. bincount adds the
+        terms of each bin in edge order, as matvec does, so row k equals
+        matvec(X[k]) bit for bit.
         """
-        b = x.shape[1]
+        b = x.shape[0]
         bins, gather, weights = self._block_index(b)
-        flat = np.bincount(bins, weights * x.ravel()[gather], minlength=self.n * b)
-        return flat.reshape(self.n, b)
+        flat = np.bincount(bins, weights * x.ravel()[gather], minlength=b * self.n)
+        return flat.reshape(b, self.n)
 
     def _block_index(self, b: int):
         """Bins, gather positions and weights of matmat for B = b, built once per b."""
         if b not in self._blocks:
-            lanes = np.arange(b)
+            offsets = np.arange(b)[:, None] * self.n
             self._blocks[b] = (
-                (self.rows[:, None] * b + lanes).ravel(),
-                (self.cols[:, None] * b + lanes).ravel(),
-                np.repeat(self.weights, b),
+                (offsets + self.rows).ravel(),
+                (offsets + self.cols).ravel(),
+                np.tile(self.weights, b),
             )
         return self._blocks[b]
 
@@ -117,13 +121,52 @@ class Graph:
         with_weights derives from this one.
         """
         support = self.weights > 0
-        key = np.packbits(support).tobytes()
+        return self._labels(support, np.packbits(support).tobytes())
+
+    def _labels(self, support: np.ndarray, key: bytes) -> np.ndarray:
         if key not in self._label_cache:
             # a[i, j] > 0 is an edge j -> i
             labels = _scc_labels(self.n, self.cols[support], self.rows[support])
             labels.setflags(write=False)
             self._label_cache[key] = labels
         return self._label_cache[key]
+
+    def irreducible_parts(self, live=None) -> list[tuple[np.ndarray, Graph]]:
+        """(nodes, sub-graph) of each strongly connected component with an inner edge.
+
+        The components follow the positive-weight edges into the nodes where
+        the boolean mask live is True (default: every node): the support of
+        diag(s) A for s positive exactly on live. Each sub-graph holds this
+        graph's weights on the edges inside its component, renumbered to its
+        nodes in order; a component of all n nodes is this graph itself.
+        Components without an inner edge are single nodes with a zero
+        diagonal, and are left out. The parts of the last support asked for
+        are cached on this graph, so consecutive calls with one support, such
+        as the blocks of an R(t) series between zero-set changes, build them
+        once.
+        """
+        support = self.weights > 0
+        if live is not None:
+            support &= live[self.rows]
+        key = np.packbits(support).tobytes()
+        if key not in self._parts:
+            self._parts.clear()
+            labels = self._labels(support, key)
+            row_labels = labels[self.rows]
+            inner = support & (row_labels == labels[self.cols])  # edges within a component
+            parts = []
+            for c in np.flatnonzero(np.bincount(row_labels[inner])):
+                nodes = np.flatnonzero(labels == c)
+                if nodes.size == self.n:
+                    parts.append((nodes, self))
+                    continue
+                local = np.empty(self.n, dtype=np.intp)
+                local[nodes] = np.arange(nodes.size)
+                edges = inner & (row_labels == c)
+                rows, cols = local[self.rows[edges]], local[self.cols[edges]]
+                parts.append((nodes, _edge_graph(nodes.size, rows, cols, self.weights[edges])))
+            self._parts[key] = parts
+        return self._parts[key]
 
 
 def _edge_graph(n, rows, cols, weights, label_cache=None) -> Graph:

@@ -20,6 +20,13 @@ radius is the largest component radius, and a single node without a
 self-loop contributes 0. Matrices are Graphs, so each iteration costs one
 O(n + nnz) product; a dense matrix argument is converted to a Graph once.
 
+The iteration is lane-major: it moves a (B, n) block of vectors, one row
+per matrix, with one Graph.matmat per step, and each row stops on its own
+test. dominant_eig and v_max run it with B = 1. spectral_radius with a
+block of states s runs it on the B matrices diag(s[k]) A at once, which
+share their components, so an R(t) series pays the per-step overhead once
+per block of samples instead of once per sample.
+
 The tolerances are fixed: ratios are tested against DEFAULT_TOL, and an
 iteration gives up after DEFAULT_MAX_ITER steps.
 """
@@ -32,15 +39,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .graph import Graph, _edge_graph, degree_vector, require_strongly_connected
+from .graph import Graph, degree_vector, require_strongly_connected
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 # The shift c as a fraction of the largest row sum. It only has to make the
 # iterated matrix aperiodic, and smaller shifts converge faster on random
-# contact graphs: an R(t) series of 26 samples at n = 1000 takes 3,933
-# iterations at 1/2, 2,800 at 1/4 and 2,116 at 1/10. Periodic graphs (rings,
-# bipartite graphs) converge more slowly as the shift shrinks.
+# contact graphs: an R(t) series of 26 samples at n = 1000, one power
+# iteration per sample, took 3,933 products at 1/2, 2,800 at 1/4 and 2,116
+# at 1/10. Periodic graphs (rings, bipartite graphs) converge more slowly as
+# the shift shrinks.
 SHIFT_FRACTION = 0.1
 
 
@@ -61,8 +69,11 @@ class SpectralTriple:
     def v_max(self) -> np.ndarray:
         """left: v' A = lambda v'."""
         g = self.graph
-        _, v, _ = _power_iteration(g.rmatvec, _shift_for(g), DEFAULT_TOL / 4, _uniform(g.n))
-        return v
+        start = _uniform(g.n)[None]
+        _, v, _ = _power_iteration(
+            lambda x: g.rmatvec(x[0])[None], _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, start
+        )
+        return v[0]
 
 
 def _as_graph(m) -> Graph:
@@ -75,14 +86,14 @@ def _as_graph(m) -> Graph:
     return Graph(m)
 
 
-def _shift_for(g: Graph) -> float:
-    """SHIFT_FRACTION of the largest row sum.
+def _shift(row_sums: np.ndarray) -> np.ndarray:
+    """SHIFT_FRACTION of each row's largest entry, for a (B, n) block of row sums.
 
     Proportional to the matrix scale, so late SIR states, whose diag(s) A
     is close to zero, keep the relative spectral gap and the iteration
     count of the original matrix.
     """
-    return SHIFT_FRACTION * float(degree_vector(g).max())
+    return SHIFT_FRACTION * row_sums.max(axis=1, keepdims=True)
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -90,22 +101,34 @@ def _uniform(n: int) -> np.ndarray:
 
 
 def _power_iteration(product, shift, tol, x):
-    """Iterate x -> (M x + shift x) / ||.||_1 until the Collatz-Wielandt bounds close.
+    """Iterate each row x -> (M x + shift x) / ||.||_1 until its Collatz-Wielandt bounds close.
 
-    product is x -> M x for an irreducible nonnegative n x n matrix M, and
-    x is a positive start with unit 1-norm. Returns (lambda, x, width):
-    lambda = sum(M x) lies with rho(M) between the smallest and largest
-    ratio (M x)_i / x_i, and each ratio lies within tol * lambda of lambda.
+    x is a (B, n) block of positive starts with unit 1-norm rows, product
+    maps it to the block of products M_k x_k of B irreducible nonnegative
+    n x n matrices, and shift is a (B, 1) column. Row k stops at the first
+    step its ratios (M_k x)_i / x_i all lie within tol * lambda_k of
+    lambda_k = sum(M_k x); a stopped row stays in the block, so every
+    product has one shape, until the last row stops. Returns length-B
+    arrays lambda and width (largest ratio minus smallest) and the (B, n)
+    block of rows as each stopped; rho(M_k) lies within width_k of lambda_k.
+    For B = 1 this is the arithmetic of a single-vector iteration.
     """
+    lam, width, out = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
+    pending = np.ones(len(x), dtype=bool)
     for _ in range(DEFAULT_MAX_ITER):
         mx = product(x)
-        lam = mx.sum()
+        sums = mx.sum(axis=1)
         ratios = mx / x
-        lo, hi = ratios.min(), ratios.max()
-        if hi - lam <= tol * lam and lam - lo <= tol * lam:
-            return float(lam), x, float(hi - lo)
+        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        done = np.maximum(hi - sums, sums - lo) <= tol * sums
+        if np.count_nonzero(done):
+            new = done & pending
+            lam[new], width[new], out[new] = sums[new], hi[new] - lo[new], x[new]
+            pending &= ~done
+            if not np.count_nonzero(pending):
+                return lam, out, width
         y = mx + shift * x
-        x = y / y.sum()
+        x = y / y.sum(axis=1, keepdims=True)
     raise NonConvergenceError(
         f"power iteration did not reach tol={tol} within {DEFAULT_MAX_ITER} iterations"
     )
@@ -126,11 +149,13 @@ def dominant_eig(m: Graph | np.ndarray) -> SpectralTriple:
     require_strongly_connected(g)
     # A quarter of DEFAULT_TOL, so both eigen-residuals also hold against
     # the single reported eigenvalue.
-    lam, u, width = _power_iteration(g.matvec, _shift_for(g), DEFAULT_TOL / 4, _uniform(g.n))
-    return SpectralTriple(lambda_max=lam, u_max=u, width=width, graph=g)
+    lam, u, width = _power_iteration(
+        g.matmat, _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, _uniform(g.n)[None]
+    )
+    return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]), graph=g)
 
 
-def spectral_radius(m: Graph | np.ndarray, start=None) -> tuple[float, np.ndarray]:
+def spectral_radius(m: Graph | np.ndarray, start=None, s=None):
     """Spectral radius of a nonnegative (possibly reducible) matrix.
 
     The largest radius over the strongly connected components of m's
@@ -141,31 +166,41 @@ def spectral_radius(m: Graph | np.ndarray, start=None) -> tuple[float, np.ndarra
     vector): the vector holds each nontrivial component's eigenvector,
     1-normalized, and zeros elsewhere; it is mainly useful for warm-starting
     the next call.
+
+    s, a (B, n) block whose entries lie in [0, 1] and whose rows share one
+    zero set, asks instead for the radii of the B matrices diag(s[k]) m, the
+    effective matrices of B states (see effective_matrix). They share m's
+    components restricted to the nodes where s > 0, so one block power
+    iteration per component serves them all, every row started from start.
+    Returns a length-B array of radii and a (B, n) block of vectors.
     """
     g = _as_graph(m)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (g.n,) or not np.all(start >= 0):
             raise InputError("start vector must be nonnegative and of length n")
-    labels = g.components
-    row_labels = labels[g.rows]
-    inner = (g.weights > 0) & (row_labels == labels[g.cols])  # edges within a component
-    radius, vec = 0.0, np.zeros(g.n)
-    for c in np.flatnonzero(np.bincount(row_labels[inner])):  # components with an edge
-        nodes = np.flatnonzero(labels == c)
-        if nodes.size == g.n:
-            sub = g
-        else:
-            local = np.empty(g.n, dtype=np.intp)
-            local[nodes] = np.arange(nodes.size)
-            edges = inner & (row_labels == c)
-            sub = _edge_graph(
-                nodes.size, local[g.rows[edges]], local[g.cols[edges]], g.weights[edges]
-            )
-        x = _component_start(start, nodes)
-        lam, x, _ = _power_iteration(sub.matvec, _shift_for(sub), DEFAULT_TOL, x)
-        radius = max(radius, lam)
-        vec[nodes] = x
+    if s is None:
+        block, live = np.ones((1, g.n)), None
+    else:
+        block = np.asarray(s, dtype=float)
+        if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != g.n:
+            raise InputError(f"state block has shape {block.shape}, expected (B, {g.n})")
+        if not np.all((block >= 0) & (block <= 1)):  # NaN fails too
+            raise InputError("state block entries must lie in [0, 1]")
+        live = block[0] > 0
+        if np.any((block > 0) != live):
+            raise InputError("the rows of a state block must share one zero set")
+    radius, vec = np.zeros(len(block)), np.zeros(block.shape)
+    for nodes, sub in g.irreducible_parts(live):
+        scale = block[:, nodes]
+        x = np.tile(_component_start(start, nodes), (len(block), 1))
+        lam, x, _ = _power_iteration(
+            lambda y: scale * sub.matmat(y), _shift(scale * degree_vector(sub)), DEFAULT_TOL, x
+        )
+        np.maximum(radius, lam, out=radius)
+        vec[:, nodes] = x
+    if s is None:
+        return float(radius[0]), vec[0]
     return radius, vec
 
 
@@ -184,8 +219,9 @@ def _component_start(start, nodes: np.ndarray) -> np.ndarray:
 def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     """diag(s) A: the contact matrix as seen by the currently susceptible.
 
-    The result shares g's cache of component labels, so an R(t) series pays
-    one SCC pass per distinct zero set of s.
+    The result shares g's cache of component labels, so repeated calls pay
+    one SCC pass per distinct zero set of s. spectral_radius(g, s=block)
+    gives the radii of a block of these matrices without building them.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n,):

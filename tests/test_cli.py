@@ -613,11 +613,27 @@ def test_internal_value_error_is_not_bad_configuration(pair_graph, monkeypatch):
 def test_undecodable_input_file_exits_2(pair_graph, tmp_path, capsys, flag):
     binary = tmp_path / "binary"
     binary.write_bytes(b"t,s_1\xff\xfe\n")
-    argv = {"--graph": pair_graph, "--beta": "1", "--gamma": "1", "--rt-out": str(tmp_path / "rt")}
+    argv = {"--graph": pair_graph, "--beta": "1", "--gamma": "1"}
+    if flag == "--trajectory":
+        argv["--rt-out"] = str(tmp_path / "rt")
     argv[flag] = str(binary)
     code = main(["threshold", *[token for item in argv.items() for token in item]])
     assert code == 2
-    assert "bad configuration" in capsys.readouterr().err
+    unreadable = {
+        "--graph": "cannot read graph file",
+        "--config": "cannot read config file",
+        "--trajectory": "not a trajectory CSV",
+    }
+    assert f"bad configuration: {unreadable[flag]}" in capsys.readouterr().err
+
+
+def test_rt_out_without_trajectory_exits_2(pair_graph, tmp_path, capsys):
+    rt = tmp_path / "rt.csv"
+    argv = ["--graph", pair_graph, "--beta", "1", "--gamma", "1", "--rt-out", str(rt)]
+    code = main(["threshold", *argv])
+    assert code == 2
+    assert "--rt-out needs --trajectory" in capsys.readouterr().err
+    assert not rt.exists()
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

@@ -165,6 +165,26 @@ def test_radius_with_zeros_in_the_state(seed):
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
 
 
+def test_radius_of_a_state_block_matches_single_states():
+    rng = np.random.default_rng(450)
+    g = random_sc_graph(rng, n=25, density=0.1)
+    s = rng.uniform(0.0, 1.0, (6, 25))
+    s[:, [3, 11, 12]] = 0.0
+    lam, vec = spectral_radius(g, s=s)
+    assert lam.shape == (6,) and vec.shape == (6, 25)
+    for k in range(6):
+        rho = _dense_radius(s[k][:, None] * g.adjacency)
+        assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
+        assert not vec[k, [3, 11, 12]].any()
+    for bad in (s[:, :24], s[:0], s.ravel(), np.where(s > 0.5, np.nan, s), s + 0.5):
+        with pytest.raises(InputError):
+            spectral_radius(g, s=bad)
+    mixed = s.copy()
+    mixed[2, 0] = 0.0  # a second zero set
+    with pytest.raises(InputError, match="zero set"):
+        spectral_radius(g, s=mixed)
+
+
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_radius_of_nilpotent_dags_is_exactly_zero(n):
     rng = np.random.default_rng(n)

@@ -7,12 +7,16 @@ from netepi import (
     ReducibleMatrixError,
     Trajectory,
     dominant_eig,
+    effective_matrix,
     effective_r_series,
     initial_state,
     integrate,
     reproduction_number,
+    spectral_radius,
     time_to_subthreshold,
 )
+from netepi import threshold
+from netepi.spectral import DEFAULT_TOL
 
 from conftest import complete_graph, random_sc_graph, symmetric_pair, two_node
 
@@ -105,6 +109,31 @@ def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
     traj = Trajectory(np.arange(8.0), s, x, np.zeros_like(s), None, 1.0)
     effective_r_series(traj, g, 1.0, 1.0)
     assert len(scc_passes) == 3
+
+
+@pytest.mark.parametrize("width, calls", [(1, 9), (2, 5), (None, 2)])
+def test_block_series_is_certified_across_a_zero_set_change(monkeypatch, width, calls):
+    g = random_sc_graph(np.random.default_rng(61), n=15, density=0.2)
+    s = np.random.default_rng(62).uniform(0.2, 1.0, (9, 15))
+    s[5:, [2, 7]] = 0.0  # the zero set changes between samples 4 and 5
+    traj = Trajectory(np.arange(9.0), s, 1.0 - s, np.zeros_like(s), None, 1.0)
+    # Width 2 would put samples 4 and 5 in one block, one block all nine.
+    entries = 10**9 if width is None else width * g.nnz
+    monkeypatch.setattr(threshold, "BLOCK_ENTRIES", entries)
+    blocks = []
+
+    def counted(m, start=None, s=None):
+        blocks.append(len(s))
+        return spectral_radius(m, start=start, s=s)
+
+    monkeypatch.setattr(threshold, "spectral_radius", counted)
+    _, values = effective_r_series(traj, g, 1.0, 1.0)
+    assert len(blocks) == calls and sum(blocks) == 9
+    for k in range(9):
+        rho = np.abs(np.linalg.eigvals(s[k][:, None] * g.adjacency)).max()
+        single, _ = spectral_radius(effective_matrix(s[k], g))
+        assert abs(values[k] - rho) <= 2 * DEFAULT_TOL * rho
+        assert abs(values[k] - single) <= 2 * DEFAULT_TOL * rho
 
 
 @pytest.mark.parametrize("scale", [-1e-9, -1e-13, 0.0, 1e-13, 1e-9])
