@@ -396,7 +396,7 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
     _require(args, "x0", "t_end")
     t_end = _positive(args.t_end, "t_end")
     dt = _positive(args.dt, "dt") if args.dt is not None else t_end / 200.0
-    grid = np.arange(0.0, t_end + 0.5 * dt, dt)
+    grid = np.arange(dynamics.step_count(t_end, dt) + 1) * dt
     if kind is ModelKind.SI:
         values = scalar.si_closed_form(args.x0, beta, grid)
     else:

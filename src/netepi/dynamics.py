@@ -7,7 +7,9 @@ scales this package targets, and a fixed step keeps invariant monitoring
 deterministic. Roundoff-sized excursions from the box are clamped; anything
 larger than EXCURSION_TOL is treated as an integration failure, not noise.
 Several parameter sets integrate together as the rows of one state block,
-so a recovery-rate sweep pays for one sparse product per RK4 stage.
+so a recovery-rate sweep pays for one sparse product per RK4 stage (SIR as
+a (3, B, n) block of s, x and r planes). A step reuses preallocated buffers
+and evaluates fields reassociated around the product with beta folded in.
 """
 
 from __future__ import annotations
@@ -120,39 +122,52 @@ class Trajectory:
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):
     """Time derivatives (ds, dx, dr) of the network model at a state."""
-    gamma = None if params.gamma is None else np.array([[params.gamma]])
-    f = _field(params.kind, params.beta, gamma, g)
-    dy = f(_pack(params.kind, state)[None, :])[0]
+    gamma = None if params.gamma is None else [params.gamma]
+    y = _pack(params.kind, state, 1)
+    dy = np.empty_like(y)
+    _field(params.kind, params.beta, gamma, g, 1)(y, dy)
     if params.kind is ModelKind.SIR:
-        n = g.n
-        return dy[:n], dy[n : 2 * n], dy[2 * n :]
-    return -dy, dy, np.zeros_like(dy)
+        return dy[0, 0], dy[1, 0], dy[2, 0]
+    return -dy[0], dy[0], np.zeros_like(dy[0])
 
 
-def _pack(kind: ModelKind, state: EpidemicState) -> np.ndarray:
-    """The working vector of a state: x for SI/SIS, [s x r] for SIR."""
+def _pack(kind: ModelKind, state: EpidemicState, b: int) -> np.ndarray:
+    """A new block of b copies of a state: (b, n) of x for SI/SIS, (3, b, n) of s, x, r for SIR."""
     if kind is ModelKind.SIR:
-        return np.concatenate((state.s, state.x, state.r))
-    return state.x.copy()
+        return np.array((state.s, state.x, state.r))[:, None].repeat(b, axis=1)
+    return state.x[None].repeat(b, axis=0)
 
 
-def _field(kind: ModelKind, beta: float, gamma: np.ndarray | None, g: Graph):
-    """Vector field on a (B, width) block of working vectors, one row per run.
+def _field(kind: ModelKind, beta: float, gamma: Sequence[float] | None, g: Graph, b: int):
+    """Vector field f(y, out) on a working block of b runs (see _pack), written into out.
 
-    gamma is a (B, 1) column (None for SI): row j recovers at gamma[j].
+    out must not overlap y. Row j recovers at gamma[j] (gamma is None for
+    SI). The pressure P = beta A x comes from one product bound with beta in
+    its weights, and each field is reassociated around it to save
+    operations: SI is P - x P, SIS is P - x (P + gamma), and SIR is
+    ds = -s P, dr = gamma x, dx = s P - gamma x.
     """
-    matmat = g.matmat
-    if kind is ModelKind.SI:
-        return lambda x: beta * (1.0 - x) * matmat(x)
-    if kind is ModelKind.SIS:
-        return lambda x: beta * (1.0 - x) * matmat(x) - gamma * x
-    n = g.n
-
-    def f(y):
-        s, x = y[:, :n], y[:, n : 2 * n]
-        flow = beta * s * matmat(x)
-        recovery = gamma * x
-        return np.concatenate((-flow, flow - recovery, recovery), axis=1)
+    pressure = g.block_product(b, beta)
+    if gamma is not None:  # one rate per entry: same-shape operands take numpy's fast loops
+        gamma = np.array(gamma, dtype=float).repeat(g.n).reshape(b, g.n)
+    if kind is ModelKind.SIR:
+        def f(y, out):
+            x, ds, dr = y[1], out[0], out[2]
+            np.multiply(y[0], pressure(x), ds)
+            np.multiply(gamma, x, dr)
+            np.subtract(ds, dr, out[1])
+            np.negative(ds, ds)
+    elif kind is ModelKind.SIS:
+        def f(x, out):
+            p = pressure(x)
+            np.add(p, gamma, out)
+            np.multiply(x, out, out)
+            np.subtract(p, out, out)
+    else:
+        def f(x, out):
+            p = pressure(x)
+            np.multiply(x, p, out)
+            np.subtract(p, out, out)
 
     return f
 
@@ -160,6 +175,21 @@ def _field(kind: ModelKind, beta: float, gamma: np.ndarray | None, g: Graph):
 def default_step(params: ModelParams) -> float:
     rates = [params.beta] + ([params.gamma] if params.gamma is not None else [])
     return 1e-3 / max(rates)
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Steps dt in t_end; InputError unless whole within STEP_COUNT_RTOL and at most MAX_STEPS."""
+    if dt <= 0:
+        raise InputError("dt must be positive")
+    if t_end < dt:
+        raise InputError("t_end must be at least dt")
+    steps = t_end / dt
+    if not steps <= MAX_STEPS:
+        raise InputError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+    n_steps = round(steps)
+    if abs(steps - n_steps) > STEP_COUNT_RTOL * n_steps:
+        raise InputError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
+    return n_steps
 
 
 def integrate(
@@ -176,19 +206,20 @@ def integrate(
     One ModelParams gives one Trajectory. A sequence of B parameter sets
     sharing kind, beta and step size gives a list of B trajectories, in
     order, all started from state0: they are integrated together as the
-    rows of one (B, n) state block ((B, 3n) for SIR), so each RK4 stage
-    costs one matmat, and row j is bit-identical to integrating params[j]
-    on its own.
+    rows of one working block (see _pack), so each RK4 stage costs one
+    sparse product, and row j is bit-identical to integrating params[j] on
+    its own. The RK4 stages reuse buffers allocated once per run, the state
+    is updated in place, and recording copies it.
 
     Records the initial state, every record_every-th step, and the final
     state. With stop_when_stationary the run ends early once the sup-norm of
     the right-hand side over the block drops below STATIONARY_TOL (the
     standard surrogate for the t -> infinity limits).
 
-    Raises InputError unless t_end is a whole number of steps dt, within
-    STEP_COUNT_RTOL, and at most MAX_STEPS of them. Raises
-    InvariantViolationError if a step leaves [0, 1]^n by more than
-    EXCURSION_TOL (meaning dt is too large) or produces NaN, in any row.
+    Raises InputError unless t_end is a whole number of steps dt (see
+    step_count). Raises InvariantViolationError if a step leaves [0, 1]^n
+    by more than EXCURSION_TOL (meaning dt is too large) or produces NaN,
+    in any row.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
     if not batch:
@@ -201,30 +232,23 @@ def integrate(
         if len(steps) > 1:
             raise InputError("batched runs must share one step size; pass dt")
         dt = steps.pop()
-    if dt <= 0:
-        raise InputError("dt must be positive")
-    if t_end < dt:
-        raise InputError("t_end must be at least dt")
-    steps = t_end / dt
-    if not steps <= MAX_STEPS:
-        raise InputError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
-    n_steps = round(steps)
-    if abs(steps - n_steps) > STEP_COUNT_RTOL * n_steps:
-        raise InputError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
+    n_steps = step_count(t_end, dt)
     if record_every < 1:
         raise InputError("record_every must be >= 1")
 
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")
-    gamma = None if kind is ModelKind.SI else np.array([[p.gamma] for p in batch])
-    f = _field(kind, beta, gamma, g)
-    y = np.repeat(_pack(kind, state0)[None, :], len(batch), axis=0)
+    gamma = None if kind is ModelKind.SI else [p.gamma for p in batch]
+    f = _field(kind, beta, gamma, g, len(batch))
+    y = _pack(kind, state0, len(batch))
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
+    stages = ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4))  # stage = y + c k_in -> k_out
 
     times = [0.0]
     records = [y.copy()]
 
     for k in range(1, n_steps + 1):
-        k1 = f(y)
+        f(y, k1)
         if stop_when_stationary and np.abs(k1).max() < STATIONARY_TOL:
             # y is the state after step k - 1; record it unless that
             # instant is already recorded.
@@ -232,10 +256,17 @@ def integrate(
                 times.append((k - 1) * dt)
                 records.append(y.copy())
             break
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for c, k_in, k_out in stages:
+            np.multiply(k_in, c, stage)
+            np.add(y, stage, stage)
+            f(stage, k_out)
+        # y += dt/6 (k1 + 2 (k2 + k3) + k4)
+        np.add(k2, k3, k2)
+        np.add(k2, k2, k2)
+        np.add(k1, k4, k1)
+        np.add(k1, k2, k1)
+        np.multiply(k1, dt / 6.0, k1)
+        np.add(y, k1, y)
 
         # Inside the box clip is a no-op; a NaN fails both comparisons.
         lo, hi = y.min(), y.max()
@@ -253,20 +284,19 @@ def integrate(
             times.append(k * dt)
             records.append(y.copy())
 
-    trajectories = _build_trajectories(times, records, batch, g.n, dt)
+    trajectories = _build_trajectories(times, records, batch, dt)
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
 
 
-def _build_trajectories(times, records, batch, n, dt) -> list[Trajectory]:
+def _build_trajectories(times, records, batch, dt) -> list[Trajectory]:
     times = np.asarray(times)
-    block = np.asarray(records)  # (rows, B, width)
+    block = np.asarray(records)  # (rows, B, n), or (rows, 3, B, n) for SIR
     trajectories = []
     for j, params in enumerate(batch):
-        m = block[:, j]
         if params.kind is ModelKind.SIR:
-            s, x, r = m[:, :n], m[:, n : 2 * n], m[:, 2 * n :]
+            s, x, r = block[:, 0, j], block[:, 1, j], block[:, 2, j]
         else:
-            x = m
+            x = block[:, j]
             s = 1.0 - x
             r = np.zeros_like(x)
         trajectories.append(

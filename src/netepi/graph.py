@@ -7,10 +7,10 @@ so row i collects everything that can infect node i. Edge-list text uses
 
 A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
 canonical row-major order, so every product with the adjacency matrix costs
-O(n + nnz); ``matmat`` multiplies a lane-major (B, n) block of vectors at
-once. The dense matrix is built only when ``adjacency`` is read, and the
-strongly connected components only when ``components`` or
-``irreducible_parts`` is read.
+O(n + nnz); ``block_product`` binds the product with a lane-major (B, n)
+block of vectors once, and ``matmat`` applies it to one block. The dense
+matrix is built only when ``adjacency`` is read, and the strongly connected
+components only when ``components`` or ``irreducible_parts`` is read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Graph:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_blocks", {})  # B -> matmat index arrays
+        object.__setattr__(self, "_blocks", {})  # B -> block_product index arrays and weights
         # positive-weight support -> SCC labels, shared by graphs with these edges
         object.__setattr__(self, "_label_cache", {} if label_cache is None else label_cache)
         object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
@@ -81,25 +81,44 @@ class Graph:
         """Lane-major block product: row k of the (B, n) result is A @ X[k].
 
         X is a (B, n) block in any memory order; the cost is O(B (n + nnz)).
-        One bincount over the flattened bins k * n + rows. bincount adds the
-        terms of each bin in edge order, as matvec does, so row k equals
-        matvec(X[k]) bit for bit.
+        bincount adds the terms of each row in edge order, as matvec does,
+        so row k equals matvec(X[k]) bit for bit. Loops should bind
+        block_product once instead.
         """
-        b = x.shape[0]
-        bins, gather, weights = self._block_index(b)
-        flat = np.bincount(bins, weights * x.ravel()[gather], minlength=b * self.n)
-        return flat.reshape(b, self.n)
+        return self.block_product(x.shape[0])(x)
 
-    def _block_index(self, b: int):
-        """Bins, gather positions and weights of matmat for B = b, built once per b."""
+    def block_product(self, b: int, scale: float = 1.0):
+        """The function X -> (scale A) X[k], row by row, for (b, n) blocks X.
+
+        The index arrays, the scaled weights and a scratch buffer for the
+        terms are built once, so a call is a gather into the scratch, a
+        multiply and one bincount over the flattened bins k * n + rows. The
+        scratch belongs to the returned function, not to the graph: bind
+        one per thread. Each call returns a new (b, n) array.
+        """
+        n = self.n
         if b not in self._blocks:
-            offsets = np.arange(b)[:, None] * self.n
+            offsets = np.arange(b)[:, None] * n
             self._blocks[b] = (
                 (offsets + self.rows).ravel(),
                 (offsets + self.cols).ravel(),
                 np.tile(self.weights, b),
             )
-        return self._blocks[b]
+        bins, gather, weights = self._blocks[b]
+        weights = scale * weights
+        terms = np.empty_like(weights)
+        shape, size = (b, n), b * n
+
+        def product(x: np.ndarray) -> np.ndarray:
+            if x.shape != shape:
+                raise InputError(f"block has shape {x.shape}, expected {shape}")
+            # mode="clip" lets take write into terms unbuffered; the shape
+            # check keeps every index in range.
+            x.take(gather, None, terms, "clip")
+            np.multiply(terms, weights, terms)
+            return np.bincount(bins, terms, size).reshape(shape)
+
+        return product
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """A.T @ x in O(n + nnz)."""

@@ -21,11 +21,11 @@ self-loop contributes 0. Matrices are Graphs, so each iteration costs one
 O(n + nnz) product; a dense matrix argument is converted to a Graph once.
 
 The iteration is lane-major: it moves a (B, n) block of vectors, one row
-per matrix, with one Graph.matmat per step, and each row stops on its own
-test. dominant_eig and v_max run it with B = 1. spectral_radius with a
-block of states s runs it on the B matrices diag(s[k]) A at once, which
-share their components, so an R(t) series pays the per-step overhead once
-per block of samples instead of once per sample.
+per matrix, with one product bound by Graph.block_product per step, and
+each row stops on its own test. dominant_eig and v_max run it with B = 1.
+spectral_radius with a block of states s runs it on the B matrices
+diag(s[k]) A at once, which share their components, so an R(t) series pays
+the per-step overhead once per block of samples instead of once per sample.
 
 The tolerances are fixed: ratios are tested against DEFAULT_TOL, and an
 iteration gives up after DEFAULT_MAX_ITER steps.
@@ -150,7 +150,7 @@ def dominant_eig(m: Graph | np.ndarray) -> SpectralTriple:
     # A quarter of DEFAULT_TOL, so both eigen-residuals also hold against
     # the single reported eigenvalue.
     lam, u, width = _power_iteration(
-        g.matmat, _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, _uniform(g.n)[None]
+        g.block_product(1), _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, _uniform(g.n)[None]
     )
     return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]), graph=g)
 
@@ -194,8 +194,9 @@ def spectral_radius(m: Graph | np.ndarray, start=None, s=None):
     for nodes, sub in g.irreducible_parts(live):
         scale = block[:, nodes]
         x = np.tile(_component_start(start, nodes), (len(block), 1))
+        product = sub.block_product(len(block))
         lam, x, _ = _power_iteration(
-            lambda y: scale * sub.matmat(y), _shift(scale * degree_vector(sub)), DEFAULT_TOL, x
+            lambda y: scale * product(y), _shift(scale * degree_vector(sub)), DEFAULT_TOL, x
         )
         np.maximum(radius, lam, out=radius)
         vec[:, nodes] = x

@@ -41,7 +41,11 @@ class ThresholdReport:
     classification is "below" or "above" when the whole certified enclosure
     beta*(lambda_max +/- width)/gamma lies on that side of 1, and "critical"
     when it holds 1. crossing_time is the first time R(t) drops below 1, if
-    a trajectory was given and it does.
+    a trajectory was given and it does. It interpolates the certified R(t)
+    samples linearly, so a sample error of about spectral.DEFAULT_TOL
+    relative moves it by that error over the slope of R(t). Near threshold,
+    where R(t) falls by only about R0 - 1 before it crosses, that leaves
+    about 9 of its 17 printed digits certified (1e-9 relative at R0 = 1.001).
     """
 
     r0: float

@@ -374,6 +374,21 @@ def test_scalar_si_grid(capsys):
     assert float(lines[1].split(",")[1]) == 0.5
 
 
+@pytest.mark.parametrize(
+    "dt, message", [("0.6", "not a whole number of steps"), ("5", "t_end must be at least dt")]
+)
+def test_scalar_needs_a_whole_step_count(tmp_path, capsys, dt, message):
+    out = tmp_path / "scalar.csv"
+    code = main(
+        ["scalar", "--model", "SIS", "--beta", "1", "--gamma", "0.5", "--x0", "0.1",
+         "--t-end", "1", "--dt", dt, "--out", str(out)]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "bad configuration" in captured.err and message in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_matrix_json_graph(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text("[[0, 2.0], [8.0, 0]]")

@@ -23,7 +23,7 @@ from netepi import (
 )
 from netepi.graph import Graph
 
-from conftest import complete_graph, random_sc_graph, symmetric_pair, two_node
+from conftest import complete_graph, random_sc_graph, rk4, symmetric_pair, two_node
 
 
 def test_params_validation():
@@ -188,7 +188,7 @@ def test_sir_s_decreasing_and_infection_dies():
 
 
 def test_nan_state_raises():
-    # Overflowing products turn (1 - x) * inf into NaN within the first step.
+    # Overflowing products turn the field into inf - inf = NaN within the first step.
     g = Graph(np.array([[0.0, 1e308], [1e308, 0.0]]))
     with np.errstate(all="ignore"), pytest.raises(InvariantViolationError, match="NaN in state"):
         integrate(initial_state("SI", np.array([1.0, 0.5])), ModelParams("SI", 1.0), g, t_end=1.0, dt=1.0)
@@ -345,6 +345,78 @@ def test_batched_runs_equal_single_runs():
             assert run.params is params and run.step_size == alone.step_size
             for name in ("times", "s", "x", "r"):
                 assert np.array_equal(getattr(run, name), getattr(alone, name))
+
+
+def _dense_field(kind, beta, gamma, a):
+    """The network field on the dense matrix, in the textbook form."""
+    n = a.shape[0]
+    if kind == "SI":
+        return lambda x: beta * (1.0 - x) * (a @ x)
+    if kind == "SIS":
+        return lambda x: beta * (1.0 - x) * (a @ x) - gamma * x
+
+    def f(y):
+        s, x = y[:n], y[n : 2 * n]
+        flow = beta * s * (a @ x)
+        return np.concatenate((-flow, flow - gamma * x, gamma * x))
+
+    return f
+
+
+def _oracle(kind, beta, gamma, a, state0, t_end, dt):
+    """rk4 on the dense field; returns times and the s, x, r rows."""
+    n = a.shape[0]
+    y0 = np.concatenate((state0.s, state0.x, state0.r)) if kind == "SIR" else state0.x
+    times, values = rk4(_dense_field(kind, beta, gamma, a), y0, t_end, dt)
+    if kind == "SIR":
+        return times, values[:, :n], values[:, n : 2 * n], values[:, 2 * n :]
+    return times, 1.0 - values, values, np.zeros_like(values)
+
+
+@pytest.fixture()
+def clamps(monkeypatch) -> list:
+    """Records every np.clip call, which integrate makes only to clamp the state."""
+    calls = []
+    clip = np.clip
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return clip(*args, **kwargs)
+
+    monkeypatch.setattr(np, "clip", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, gammas", [("SI", (None,)), ("SIS", (0.4, 1.5, 6.0)), ("SIR", (0.8,))])
+def test_integrate_matches_rk4_oracle(kind, gammas, clamps):
+    rng = np.random.default_rng(17)
+    g = random_sc_graph(rng, 30)
+    state0 = initial_state(kind, rng.uniform(0.0, 0.2, 30))
+    beta, t_end, dt = 0.35, 2.0, 0.01
+    batch = [ModelParams(kind, beta, gv) for gv in gammas]
+    runs = integrate(state0, batch, g, t_end=t_end, dt=dt, record_every=1)
+    assert not clamps
+    for params, run in zip(batch, runs):
+        times, s, x, r = _oracle(kind, beta, params.gamma, g.adjacency, state0, t_end, dt)
+        np.testing.assert_array_equal(run.times, times)
+        for got, want in ((run.s, s), (run.x, x), (run.r, r)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_stationary_stop_matches_rk4_oracle(clamps):
+    g = random_sc_graph(np.random.default_rng(23), 30)
+    state0 = initial_state("SIS", np.full(30, 0.1))
+    beta, gamma, t_end, dt = 0.1, 3.0, 50.0, 0.01  # below threshold: x decays to 0
+    traj = integrate(
+        state0, ModelParams("SIS", beta, gamma), g, t_end=t_end, dt=dt, record_every=7, stop_when_stationary=True
+    )
+    assert not clamps
+    assert traj.times[-1] < t_end and traj.x[-1].max() < 1e-9
+    steps = round(traj.times[-1] / dt)
+    assert traj.times[-1] == steps * dt and steps % 7 != 0  # the stop adds a row of its own
+    times, _, x, _ = _oracle("SIS", beta, gamma, g.adjacency, state0, traj.times[-1], dt)
+    assert times[-1] == traj.times[-1]
+    np.testing.assert_allclose(traj.x, x[np.round(traj.times / dt).astype(int)], rtol=0, atol=1e-13)
 
 
 def test_batch_must_share_kind_beta_and_step():

@@ -227,6 +227,19 @@ def test_matmat_rows_equal_matvec(g, b, fortran, data):
             assert np.array_equal(block[k], g.matvec(x[k]))
 
 
+def test_block_product_folds_the_scale_and_keeps_its_results():
+    g = two_node()
+    product = g.block_product(2, 0.5)
+    x = np.array([[1.0, 2.0], [3.0, -1.0]])
+    first = product(x)
+    second = product(2.0 * x)  # reuses the scratch, not the first result
+    np.testing.assert_array_equal(first, [[2.0, 4.0], [-1.0, 12.0]])
+    np.testing.assert_array_equal(second, 2.0 * first)
+    for bad in (np.ones((2, 3)), np.ones((1, 2)), np.ones(4)):
+        with pytest.raises(ValueError, match="block has shape"):
+            product(bad)
+
+
 @given(sparse_graphs())
 @settings(max_examples=200)
 def test_dump_load_round_trip_sparse(g):
