@@ -42,7 +42,6 @@ from .errors import (
 from .graph import (
     Graph,
     degree_vector,
-    dump_graph,
     graph_from_rows,
     is_strongly_connected,
     load_graph,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "load_graph",
-    "dump_graph",
     "graph_from_rows",
     "is_strongly_connected",
     "degree_vector",

@@ -268,7 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
     t_end = _positive(args.t_end, "t_end")
     trajectories = {}
-    # The runs that share a step size integrate together, one column each.
+    # The runs that share a step size integrate together, one row each.
     for dt in dict.fromkeys(steps):
         members = [i for i, step in enumerate(steps) if step == dt]
         runs = dynamics.integrate(

@@ -152,6 +152,7 @@ def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
     raises NonConvergenceError if MAX_NEWTON_STEPS steps give no
     certificate, which also happens when tol is too small for doubles.
     """
+    product = g.block_product(1)
     gain = None  # ||d|| / ||y - f(y)|| of the last step
     for steps in range(MAX_NEWTON_STEPS + 1):
         fy = f(y)
@@ -160,7 +161,7 @@ def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
         r_norm = np.abs(r).max()
 
         def jac(v):
-            return v - c * g.matvec(v)
+            return v - c * product(v[None])[0]
 
         if gain is not None and r_norm * gain <= tol:
             bounds = _enclosure(f, jac, y, r_norm, hi, tol, positive)
@@ -187,10 +188,10 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
 
     Its fixed points in [0, 1]^n are exactly the SIS equilibria.
     """
-    scaled = g.with_weights((beta / gamma) * g.weights)
+    product = g.block_product(1, beta / gamma)
 
     def f(y):
-        z = scaled.matvec(y)
+        z = product(y[None])[0]
         return z / (1.0 + z)
 
     return f
@@ -292,11 +293,11 @@ def sir_fixed_point_map(g: Graph, beta: float, gamma: float, s0, r0):
     """
     s0 = np.asarray(s0, dtype=float)
     r0 = np.asarray(r0, dtype=float)
-    scaled = g.with_weights((beta / gamma) * g.weights)
-    offset = scaled.matvec(r0 - 1.0)
+    product = g.block_product(1, beta / gamma)
+    offset = product((r0 - 1.0)[None])[0]
 
     def h(y):
-        return s0 * np.exp(scaled.matvec(y) + offset)
+        return s0 * np.exp(product(y[None])[0] + offset)
 
     return h
 

@@ -7,10 +7,11 @@ so row i collects everything that can infect node i. Edge-list text uses
 
 A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
 canonical row-major order, so every product with the adjacency matrix costs
-O(n + nnz); ``block_product`` binds the product with a lane-major (B, n)
-block of vectors once, and ``matmat`` applies it to one block. The dense
-matrix is built only when ``adjacency`` is read, and the strongly connected
-components only when ``components`` or ``irreducible_parts`` is read.
+O(n + nnz). ``block_product`` is the one product: it binds A X for a
+lane-major (B, n) block of vectors once, and ``transpose`` gives the graph
+of A' for products with the transpose. The dense matrix is built only when
+``adjacency`` is read, and the strongly connected components only when
+``components`` or ``irreducible_parts`` is read.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyInputError, GraphFormatError, InputError, ReducibleMatrixError
+
+# Largest node count or index load_graph accepts: the row-major sort keys
+# rows * n + cols of an n-node graph must fit in np.intp.
+MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -73,20 +78,6 @@ class Graph:
     def nnz(self) -> int:
         return self.weights.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x in O(n + nnz)."""
-        return np.bincount(self.rows, self.weights * x[self.cols], minlength=self.n)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Lane-major block product: row k of the (B, n) result is A @ X[k].
-
-        X is a (B, n) block in any memory order; the cost is O(B (n + nnz)).
-        bincount adds the terms of each row in edge order, as matvec does,
-        so row k equals matvec(X[k]) bit for bit. Loops should bind
-        block_product once instead.
-        """
-        return self.block_product(x.shape[0])(x)
-
     def block_product(self, b: int, scale: float = 1.0):
         """The function X -> (scale A) X[k], row by row, for (b, n) blocks X.
 
@@ -94,7 +85,9 @@ class Graph:
         terms are built once, so a call is a gather into the scratch, a
         multiply and one bincount over the flattened bins k * n + rows. The
         scratch belongs to the returned function, not to the graph: bind
-        one per thread. Each call returns a new (b, n) array.
+        one per thread. Each call returns a new (b, n) array. bincount adds
+        the terms of each row in edge order whatever b and the memory order
+        of X, so row k equals block_product(1, scale)(X[k:k+1]) bit for bit.
         """
         n = self.n
         if b not in self._blocks:
@@ -120,9 +113,10 @@ class Graph:
 
         return product
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """A.T @ x in O(n + nnz)."""
-        return np.bincount(self.cols, self.weights * x[self.rows], minlength=self.n)
+    def transpose(self) -> Graph:
+        """The graph of A', its edges re-sorted into canonical row-major order."""
+        order = np.lexsort((self.rows, self.cols))
+        return _edge_graph(self.n, self.cols[order], self.rows[order], self.weights[order])
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -208,7 +202,8 @@ def load_graph(edge_list_text: str) -> Graph:
     Each data line is ``i j w`` (1-based indices, positive weight) and sets
     a[i, j] = w. An optional header line ``n <count>`` fixes the node count;
     otherwise it is inferred as the largest index seen. Lines starting with
-    '#' and blank lines are ignored. Duplicate (i, j) pairs are an error.
+    '#' and blank lines are ignored. Duplicate (i, j) pairs are an error,
+    and so is a node count or index above MAX_NODES.
     """
     header_n = None
     rows, cols, weights, line_nos = [], [], [], []
@@ -230,6 +225,8 @@ def load_graph(edge_list_text: str) -> Graph:
                 raise GraphFormatError(f"line {line_no}: bad node count {parts[1]!r}") from None
             if header_n < 1:
                 raise GraphFormatError(f"line {line_no}: node count must be positive")
+            if header_n > MAX_NODES:
+                raise GraphFormatError(f"line {line_no}: node count exceeds {MAX_NODES}")
             continue
         if len(parts) != 3:
             raise GraphFormatError(f"line {line_no}: expected 'i j w', got {line!r}")
@@ -238,8 +235,10 @@ def load_graph(edge_list_text: str) -> Graph:
             w = float(parts[2])
         except ValueError:
             raise GraphFormatError(f"line {line_no}: expected 'i j w', got {line!r}") from None
-        if i < 1 or j < 1:
-            raise GraphFormatError(f"line {line_no}: indices are 1-based, got {i} {j}")
+        if not (1 <= i <= MAX_NODES and 1 <= j <= MAX_NODES):
+            if i < 1 or j < 1:
+                raise GraphFormatError(f"line {line_no}: indices are 1-based, got {i} {j}")
+            raise GraphFormatError(f"line {line_no}: index exceeds {MAX_NODES}")
         if not math.isfinite(w) or w <= 0:
             raise GraphFormatError(f"line {line_no}: weight must be positive, got {parts[2]}")
         rows.append(i - 1)
@@ -271,20 +270,6 @@ def load_graph(edge_list_text: str) -> Graph:
             f"line {line_nos[k]}: duplicate edge ({rows[k] + 1}, {cols[k] + 1})"
         )
     return _edge_graph(n, rows[order], cols[order], np.array(weights)[order])
-
-
-def dump_graph(g: Graph) -> str:
-    """Serialize a Graph back to edge-list text (exact round trip).
-
-    Weights are written with repr so load_graph(dump_graph(g)) reproduces
-    the adjacency matrix bit for bit. Zero-weight edges are not edges and
-    are left out.
-    """
-    lines = [f"n {g.n}"]
-    keep = g.weights > 0
-    for i, j, w in zip(g.rows[keep].tolist(), g.cols[keep].tolist(), g.weights[keep].tolist()):
-        lines.append(f"{i + 1} {j + 1} {w!r}")
-    return "\n".join(lines) + "\n"
 
 
 def graph_from_rows(rows) -> Graph:

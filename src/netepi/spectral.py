@@ -71,7 +71,7 @@ class SpectralTriple:
         g = self.graph
         start = _uniform(g.n)[None]
         _, v, _ = _power_iteration(
-            lambda x: g.rmatvec(x[0])[None], _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, start
+            g.transpose().block_product(1), _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, start
         )
         return v[0]
 

@@ -28,6 +28,20 @@ def rk4(f, y0, t_end, dt):
     return times, out
 
 
+def dump_graph(g: Graph) -> str:
+    """Serialize a Graph back to edge-list text (exact round trip).
+
+    Weights are written with repr so load_graph(dump_graph(g)) reproduces
+    the adjacency matrix bit for bit. Zero-weight edges are not edges and
+    are left out.
+    """
+    lines = [f"n {g.n}"]
+    keep = g.weights > 0
+    for i, j, w in zip(g.rows[keep].tolist(), g.cols[keep].tolist(), g.weights[keep].tolist()):
+        lines.append(f"{i + 1} {j + 1} {w!r}")
+    return "\n".join(lines) + "\n"
+
+
 def two_node() -> Graph:
     """The asymmetric 2-node instance with lambda_max = 4, u = (1/3, 2/3)."""
     return Graph(np.array([[0.0, 2.0], [8.0, 0.0]]))

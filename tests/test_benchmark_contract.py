@@ -6,6 +6,7 @@ slower, smoke test (python -m pytest benchmarks).
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -33,3 +34,12 @@ def test_workload_command_lines_parse(workload, tmp_path):
         args, extras = parser.parse_known_args(call.argv)
         assert args.command == call.subcommand
         assert extras == [], call.label
+
+
+def test_probe_times_the_rhs_and_the_sis_map(tmp_path):
+    graph = tmp_path / "pair.txt"
+    graph.write_text("1 2 1.0\n2 1 2.0\n")
+    out = tmp_path / "probe.json"
+    assert tracing.probe(str(out), str(graph), 0.5, 1.0) == 0
+    result = json.loads(out.read_text())
+    assert result["rhs_s"] > 0 and result["sis_map_s"] > 0

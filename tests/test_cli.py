@@ -503,6 +503,20 @@ def test_bad_graph_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("n 99999999999999999999\n1 2 1.0\n", 1), ("1 2 1.0\n99999999999999999999 1 1.0\n", 2)],
+)
+def test_graph_beyond_the_index_bound_exits_3(tmp_path, capsys, text, line):
+    path = tmp_path / "huge.txt"
+    path.write_text(text)
+    code = main(["threshold", "--graph", str(path), "--beta", "1", "--gamma", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "graph error" in captured.err and f"line {line}:" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_required_flag_exits_2(pair_graph, capsys):
     code = main(["endemic", "--graph", pair_graph, "--beta", "1.0"])
     assert code == 2

@@ -12,16 +12,15 @@ from netepi import (
     ModelParams,
     degree_vector,
     dominant_eig,
-    dump_graph,
     graph_from_rows,
     initial_state,
     integrate,
     is_strongly_connected,
     load_graph,
 )
-from netepi.graph import Graph
+from netepi.graph import MAX_NODES, Graph
 
-from conftest import complete_graph, directed_ring, symmetric_pair, two_node
+from conftest import complete_graph, directed_ring, dump_graph, symmetric_pair, two_node
 
 
 def test_load_two_node_pair():
@@ -67,6 +66,23 @@ def test_load_header_and_comments():
 def test_load_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         load_graph(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (f"n {MAX_NODES + 1}\n1 2 1.0\n", 1),
+        ("n 99999999999999999999\n1 2 1.0\n", 1),
+        ("n 2\n1 2 1.0\n# far\n99999999999999999999 1 1.0\n", 4),
+        (f"1 {MAX_NODES + 1} 1.0\n", 1),
+    ],
+)
+def test_load_rejects_counts_beyond_the_key_bound(text, line):
+    with pytest.raises(GraphFormatError, match=f"line {line}: .* exceeds {MAX_NODES}$"):
+        load_graph(text)
+    # The bound itself still fits the row-major keys rows * n + cols.
+    g = load_graph(f"{MAX_NODES} 1 1.0\n1 {MAX_NODES} 1.0\n")
+    assert g.n == MAX_NODES and g.rows.tolist() == [0, MAX_NODES - 1]
 
 
 def test_graph_from_rows_validates():
@@ -202,29 +218,33 @@ def sparse_graphs(draw):
 
 @given(sparse_graphs(), st.data())
 @settings(max_examples=200)
-def test_matvec_matches_dense_products(g, data):
+def test_block_product_matches_dense_products(g, data):
     x = np.array(
         data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n, max_size=g.n))
     )
     a = g.adjacency
+    t = g.transpose()
+    np.testing.assert_array_equal(t.adjacency, a.T)
     # Only the summation order differs from the dense product.
     eps = g.n * np.finfo(float).eps
-    assert np.all(np.abs(g.matvec(x) - a @ x) <= eps * (a @ np.abs(x)))
-    assert np.all(np.abs(g.rmatvec(x) - a.T @ x) <= eps * (a.T @ np.abs(x)))
-    np.testing.assert_array_equal(g.matvec(np.ones(g.n)), degree_vector(g))
-    keys = g.rows * g.n + g.cols
-    assert np.all(np.diff(keys) > 0)  # canonical row-major order, no repeats
+    assert np.all(np.abs(g.block_product(1)(x[None])[0] - a @ x) <= eps * (a @ np.abs(x)))
+    assert np.all(np.abs(t.block_product(1)(x[None])[0] - a.T @ x) <= eps * (a.T @ np.abs(x)))
+    np.testing.assert_array_equal(g.block_product(1)(np.ones((1, g.n)))[0], degree_vector(g))
+    for h in (g, t):
+        keys = h.rows * h.n + h.cols
+        assert np.all(np.diff(keys) > 0)  # canonical row-major order, no repeats
 
 
 @given(sparse_graphs(), st.integers(min_value=1, max_value=5), st.booleans(), st.data())
 @settings(max_examples=200)
-def test_matmat_rows_equal_matvec(g, b, fortran, data):
+def test_block_product_rows_equal_single_products(g, b, fortran, data):
     values = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n * b, max_size=g.n * b))
     x = np.array(values).reshape(b, g.n, order="F" if fortran else "C")
-    for block in (g.matmat(x), g.matmat(x)):  # the second call reuses the bins
+    single = g.block_product(1)
+    for block in (g.block_product(b)(x), g.block_product(b)(x)):  # the second reuses the bins
         assert block.shape == (b, g.n)
         for k in range(b):
-            assert np.array_equal(block[k], g.matvec(x[k]))
+            assert np.array_equal(block[k], single(x[k : k + 1])[0])
 
 
 def test_block_product_folds_the_scale_and_keeps_its_results():
