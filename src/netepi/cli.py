@@ -351,14 +351,14 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
     if args.rt_out is not None and args.trajectory is None:
         raise ConfigError("--rt-out needs --trajectory")
+    if args.trajectory is not None and args.rt_out is None:
+        raise ConfigError("--trajectory needs --rt-out for the R(t) CSV")
     g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)
     report = threshold.reproduction_number(g, beta, gamma)
 
     if args.trajectory is not None:
-        if args.rt_out is None:
-            raise ConfigError("--trajectory needs --rt-out for the R(t) CSV")
         with open(args.trajectory) as fp:
             traj = dynamics.read_trajectory_csv(fp)
         if traj.n != g.n:

@@ -209,7 +209,8 @@ def integrate(
     rows of one working block (see _pack), so each RK4 stage costs one
     sparse product, and row j is bit-identical to integrating params[j] on
     its own. The RK4 stages reuse buffers allocated once per run, the state
-    is updated in place, and recording copies it.
+    is updated in place, and recording copies it into a block of records
+    sized from n_steps and record_every, shrunk on a stationary stop.
 
     Records the initial state, every record_every-th step, and the final
     state. With stop_when_stationary the run ends early once the sup-norm of
@@ -244,17 +245,24 @@ def integrate(
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     stages = ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4))  # stage = y + c k_in -> k_out
 
-    times = [0.0]
-    records = [y.copy()]
+    # Rows for t = 0, every record_every-th step and the last step.
+    rows = 1 + -(-n_steps // record_every)
+    times = np.empty(rows)
+    records = np.empty((rows, *y.shape))
+    times[0], records[0] = 0.0, y
+    count = 1
 
     for k in range(1, n_steps + 1):
         f(y, k1)
         if stop_when_stationary and np.abs(k1).max() < STATIONARY_TOL:
             # y is the state after step k - 1; record it unless that
             # instant is already recorded.
-            if times[-1] != (k - 1) * dt:
-                times.append((k - 1) * dt)
-                records.append(y.copy())
+            if times[count - 1] != (k - 1) * dt:
+                times[count], records[count] = (k - 1) * dt, y
+                count += 1
+            # Shrink the block to the rows written, in place, with no copy.
+            records.resize((count, *y.shape), refcheck=False)
+            times = times[:count]
             break
         for c, k_in, k_out in stages:
             np.multiply(k_in, c, stage)
@@ -281,16 +289,15 @@ def integrate(
             np.clip(y, 0.0, 1.0, out=y)
 
         if k % record_every == 0 or k == n_steps:
-            times.append(k * dt)
-            records.append(y.copy())
+            times[count], records[count] = k * dt, y
+            count += 1
 
     trajectories = _build_trajectories(times, records, batch, dt)
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
 
 
-def _build_trajectories(times, records, batch, dt) -> list[Trajectory]:
-    times = np.asarray(times)
-    block = np.asarray(records)  # (rows, B, n), or (rows, 3, B, n) for SIR
+def _build_trajectories(times, block, batch, dt) -> list[Trajectory]:
+    # block is (rows, B, n), or (rows, 3, B, n) for SIR
     trajectories = []
     for j, params in enumerate(batch):
         if params.kind is ModelKind.SIR:

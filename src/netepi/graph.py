@@ -11,7 +11,8 @@ O(n + nnz). ``block_product`` is the one product: it binds A X for a
 lane-major (B, n) block of vectors once, and ``transpose`` gives the graph
 of A' for products with the transpose. The dense matrix is built only when
 ``adjacency`` is read, and the strongly connected components only when
-``components`` or ``irreducible_parts`` is read.
+``components`` or ``irreducible_parts`` is read; each graph caches its own
+component labels, one SCC pass per support it is asked about.
 """
 
 from __future__ import annotations
@@ -52,27 +53,21 @@ class Graph:
         rows, cols = np.nonzero(a)
         self._set(a.shape[0], rows, cols, a[rows, cols])
 
-    def _set(self, n, rows, cols, weights, label_cache=None) -> None:
+    def _set(self, n, rows, cols, weights) -> None:
         for name, value in (("rows", rows), ("cols", cols), ("weights", weights)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_blocks", {})  # B -> block_product index arrays and weights
-        # positive-weight support -> SCC labels, shared by graphs with these edges
-        object.__setattr__(self, "_label_cache", {} if label_cache is None else label_cache)
+        object.__setattr__(self, "_label_cache", {})  # positive-weight support -> SCC labels
         object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
 
     def with_weights(self, weights) -> Graph:
-        """The same edges with new nonnegative weights, one per edge.
-
-        The new graph shares this one's cache of component labels, so a
-        support that either has seen costs no second SCC pass.
-        """
+        """The same edges with new nonnegative weights, one per edge."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != self.weights.shape:
             raise InputError(f"need {self.nnz} weights, got shape {weights.shape}")
         _check_weights(weights)
-        return _edge_graph(self.n, self.rows, self.cols, weights, self._label_cache)
+        return _edge_graph(self.n, self.rows, self.cols, weights)
 
     @property
     def nnz(self) -> int:
@@ -82,23 +77,19 @@ class Graph:
         """The function X -> (scale A) X[k], row by row, for (b, n) blocks X.
 
         The index arrays, the scaled weights and a scratch buffer for the
-        terms are built once, so a call is a gather into the scratch, a
-        multiply and one bincount over the flattened bins k * n + rows. The
-        scratch belongs to the returned function, not to the graph: bind
-        one per thread. Each call returns a new (b, n) array. bincount adds
-        the terms of each row in edge order whatever b and the memory order
-        of X, so row k equals block_product(1, scale)(X[k:k+1]) bit for bit.
+        terms are built once per binding, so a call is a gather into the
+        scratch, a multiply and one bincount over the flattened bins
+        k * n + rows. All of them belong to the returned function, not to
+        the graph: bind one per thread. Each call returns a new (b, n) array.
+        bincount adds the terms of each row in edge order whatever b and the
+        memory order of X, so row k equals block_product(1, scale)(X[k:k+1])
+        bit for bit.
         """
         n = self.n
-        if b not in self._blocks:
-            offsets = np.arange(b)[:, None] * n
-            self._blocks[b] = (
-                (offsets + self.rows).ravel(),
-                (offsets + self.cols).ravel(),
-                np.tile(self.weights, b),
-            )
-        bins, gather, weights = self._blocks[b]
-        weights = scale * weights
+        offsets = np.arange(b)[:, None] * n
+        bins = (offsets + self.rows).ravel()
+        gather = (offsets + self.cols).ravel()
+        weights = np.tile(scale * self.weights, b)
         terms = np.empty_like(weights)
         shape, size = (b, n), b * n
 
@@ -130,8 +121,8 @@ class Graph:
     def components(self) -> np.ndarray:
         """Strongly connected component label of each node, along positive-weight edges.
 
-        One O(n + nnz) pass per distinct support, cached across the graphs
-        with_weights derives from this one.
+        One O(n + nnz) pass, cached on this graph alone; irreducible_parts
+        reuses it when every node is live.
         """
         support = self.weights > 0
         return self._labels(support, np.packbits(support).tobytes())
@@ -182,10 +173,10 @@ class Graph:
         return self._parts[key]
 
 
-def _edge_graph(n, rows, cols, weights, label_cache=None) -> Graph:
+def _edge_graph(n, rows, cols, weights) -> Graph:
     """Graph from edge arrays that are already validated and canonical."""
     g = object.__new__(Graph)
-    g._set(n, rows, cols, weights, label_cache)
+    g._set(n, rows, cols, weights)
     return g
 
 
@@ -284,12 +275,13 @@ def graph_from_rows(rows) -> Graph:
 def is_strongly_connected(g: Graph) -> bool:
     """True iff every node reaches every other node along positive-weight edges.
 
-    Equivalently, the adjacency matrix is irreducible. For n = 1 this
-    requires a positive self-loop (the 1x1 zero matrix is reducible).
-    Reads g.components, one O(n + nnz) pass cached on g.
+    Equivalently, the adjacency matrix is irreducible, so every node has a
+    positive in-edge (at n = 1, a positive self-loop): fewer positive edges
+    than nodes answer False at once. Otherwise reads g.components, one
+    O(n + nnz) pass cached on g.
     """
-    if g.n == 1:
-        return bool(np.any(g.weights > 0))
+    if np.count_nonzero(g.weights) < g.n:
+        return False
     return not g.components.any()  # a single component is labelled 0
 
 

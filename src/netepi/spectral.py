@@ -220,9 +220,9 @@ def _component_start(start, nodes: np.ndarray) -> np.ndarray:
 def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     """diag(s) A: the contact matrix as seen by the currently susceptible.
 
-    The result shares g's cache of component labels, so repeated calls pay
-    one SCC pass per distinct zero set of s. spectral_radius(g, s=block)
-    gives the radii of a block of these matrices without building them.
+    Each result is a new graph that pays its own SCC pass when its
+    components are read. spectral_radius(g, s=block) gives the radii of a
+    block of these matrices without building them, on g's cached components.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n,):

@@ -60,33 +60,42 @@ def test_criterion_1_scalar_closed_forms_match_rk4():
     t0 = time.perf_counter()
     t_end, dt = 20.0, 2e-3
 
-    # SI over a 5 x 5 (x0, beta) grid, all integrated as one vector ODE
+    # SI over a 5 x 5 (x0, beta) grid
     x0s = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
     betas = np.array([0.2, 0.5, 1.0, 1.5, 2.0])
-    x0_grid, beta_grid = (m.ravel() for m in np.meshgrid(x0s, betas))
-    times, vals = rk4(lambda y: beta_grid * (1 - y) * y, x0_grid, t_end, dt)
-    closed = np.stack(
-        [si_closed_form(x0, b, times) for x0, b in zip(x0_grid, beta_grid)], axis=1
-    )
-    si_err = np.abs(vals - closed).max()
-    assert si_err < 1e-8
-
+    si_x0, si_beta = (m.ravel() for m in np.meshgrid(x0s, betas))
     # SIS over 5 x0 values x 5 (beta, gamma) pairs, including beta == gamma
     pairs = np.array([(1.0, 0.5), (0.5, 1.0), (1.0, 1.0), (2.0, 0.7), (1.0 / 3, 0.9)])
-    x0_grid = np.repeat(x0s, len(pairs))
-    beta_grid = np.tile(pairs[:, 0], len(x0s))
-    gamma_grid = np.tile(pairs[:, 1], len(x0s))
+    sis_x0 = np.repeat(x0s, len(pairs))
+    sis_beta = np.tile(pairs[:, 0], len(x0s))
+    sis_gamma = np.tile(pairs[:, 1], len(x0s))
+
+    # All 50 integrated as one vector ODE; gamma 0 makes an SI entry's
+    # field beta (1 - x) x bit for bit.
+    beta_grid = np.concatenate((si_beta, sis_beta))
+    gamma_grid = np.concatenate((np.zeros(si_x0.size), sis_gamma))
     times, vals = rk4(
-        lambda y: beta_grid * (1 - y) * y - gamma_grid * y, x0_grid, t_end, dt
+        lambda y: beta_grid * (1 - y) * y - gamma_grid * y,
+        np.concatenate((si_x0, sis_x0)),
+        t_end,
+        dt,
     )
+    si_vals, sis_vals = vals[:, : si_x0.size], vals[:, si_x0.size :]
+
+    closed = np.stack(
+        [si_closed_form(x0, b, times) for x0, b in zip(si_x0, si_beta)], axis=1
+    )
+    si_err = np.abs(si_vals - closed).max()
+    assert si_err < 1e-8
+
     closed = np.stack(
         [
             sis_closed_form(x0, b, g, times)
-            for x0, b, g in zip(x0_grid, beta_grid, gamma_grid)
+            for x0, b, g in zip(sis_x0, sis_beta, sis_gamma)
         ],
         axis=1,
     )
-    sis_err = np.abs(vals - closed).max()
+    sis_err = np.abs(sis_vals - closed).max()
     assert sis_err < 1e-8
 
     elapsed = time.perf_counter() - t0

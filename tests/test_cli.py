@@ -517,6 +517,18 @@ def test_graph_beyond_the_index_bound_exits_3(tmp_path, capsys, text, line):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text", ["3037000499 1 1\n1 3037000499 1\n", "n 2000000\n1 2 1.0\n2 1 1.0\n"]
+)
+def test_fewer_edges_than_nodes_exit_3_without_an_scc_pass(tmp_path, capsys, scc_passes, text):
+    path = tmp_path / "sparse.txt"
+    path.write_text(text)
+    code = main(["threshold", "--graph", str(path), "--beta", "1", "--gamma", "1"])
+    assert code == 3
+    assert "not strongly connected" in capsys.readouterr().err
+    assert scc_passes == []
+
+
 def test_missing_required_flag_exits_2(pair_graph, capsys):
     code = main(["endemic", "--graph", pair_graph, "--beta", "1.0"])
     assert code == 2
@@ -663,6 +675,14 @@ def test_rt_out_without_trajectory_exits_2(pair_graph, tmp_path, capsys):
     assert code == 2
     assert "--rt-out needs --trajectory" in capsys.readouterr().err
     assert not rt.exists()
+
+
+def test_trajectory_without_rt_out_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    argv = ["--graph", missing, "--beta", "1", "--gamma", "1", "--trajectory", missing]
+    code = main(["threshold", *argv])
+    assert code == 2
+    assert "--trajectory needs --rt-out" in capsys.readouterr().err
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

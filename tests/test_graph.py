@@ -178,13 +178,26 @@ def test_component_labels_match_mutual_reachability(n, data):
     assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
 
 
-def test_reweighted_graphs_share_one_scc_pass_per_support(scc_passes):
-    g = directed_ring(4)
+def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
+    a = directed_ring(4).adjacency.copy()
+    a[2, 0] = 1.0  # chord 0 -> 2: with ring edge 0 -> 1 zeroed, 4 positive edges remain
+    g = Graph(a)  # edges in order (0, 3), (1, 0), (2, 0), (2, 1), (3, 2)
     assert is_strongly_connected(g)
-    assert is_strongly_connected(g.with_weights([2.0, 3.0, 4.0, 5.0]))
-    assert not is_strongly_connected(g.with_weights([0.0, 1.0, 1.0, 1.0]))
-    assert not is_strongly_connected(g.with_weights([0.0, 2.0, 2.0, 2.0]))
-    assert len(scc_passes) == 2
+    assert is_strongly_connected(g)
+    g.irreducible_parts(np.ones(4, dtype=bool))  # the support of g.components: no pass
+    assert len(scc_passes) == 1
+    assert is_strongly_connected(g.with_weights([2.0, 3.0, 4.0, 5.0, 6.0]))
+    assert not is_strongly_connected(g.with_weights([1.0, 0.0, 1.0, 1.0, 1.0]))
+    assert not is_strongly_connected(g.with_weights([2.0, 0.0, 2.0, 2.0, 2.0]))
+    assert len(scc_passes) == 4  # one per reweighted graph, even on one support
+
+
+def test_fewer_positive_edges_than_nodes_need_no_scc_pass(scc_passes):
+    assert not is_strongly_connected(directed_ring(4).with_weights([0.0, 1.0, 1.0, 1.0]))
+    assert not is_strongly_connected(Graph(np.array([[0.0]])))
+    assert scc_passes == []
+    assert is_strongly_connected(Graph(np.array([[0.7]])))  # one positive self-loop
+    assert scc_passes == [1]
 
 
 # --- edge-list core ---------------------------------------------------------

@@ -11,6 +11,7 @@ from netepi import (
     effective_r_series,
     initial_state,
     integrate,
+    is_strongly_connected,
     reproduction_number,
     spectral_radius,
     time_to_subthreshold,
@@ -109,6 +110,15 @@ def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
     traj = Trajectory(np.arange(8.0), s, x, np.zeros_like(s), None, 1.0)
     effective_r_series(traj, g, 1.0, 1.0)
     assert len(scc_passes) == 3
+
+
+def test_connectivity_check_and_positive_series_share_one_scc_pass(scc_passes):
+    g = random_sc_graph(np.random.default_rng(43), n=12)
+    s = np.random.default_rng(44).uniform(0.5, 1.0, (6, 12))
+    traj = Trajectory(np.arange(6.0), s, 1.0 - s, np.zeros_like(s), None, 1.0)
+    assert is_strongly_connected(g)
+    effective_r_series(traj, g, 1.0, 1.0)
+    assert len(scc_passes) == 1
 
 
 @pytest.mark.parametrize("width, calls", [(1, 9), (2, 5), (None, 2)])
