@@ -39,7 +39,7 @@ from .errors import (
     NonConvergenceError,
     ReducibleMatrixError,
 )
-from .graph import Graph, graph_from_rows, load_graph
+from .graph import Graph, graph_from_rows, load_graph, require_strongly_connected
 from .scalar import ModelKind
 
 logger = logging.getLogger("netepi")
@@ -329,6 +329,8 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
     g = _read_graph(args.graph)
+    # Before the length-n start vectors, so a reducible graph of huge n exits 3.
+    require_strongly_connected(g)
     x0, r0 = _initial_vectors(args, g.n)
     s0 = 1.0 - x0 - r0
     if np.any(s0 < 0):

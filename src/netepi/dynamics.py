@@ -122,10 +122,9 @@ class Trajectory:
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):
     """Time derivatives (ds, dx, dr) of the network model at a state."""
-    gamma = None if params.gamma is None else [params.gamma]
     y = _pack(params.kind, state, 1)
     dy = np.empty_like(y)
-    _field(params.kind, params.beta, gamma, g, 1)(y, dy)
+    _field(params.kind, params.beta, [params.gamma or 0.0], g, 1)(y, dy)
     if params.kind is ModelKind.SIR:
         return dy[0, 0], dy[1, 0], dy[2, 0]
     return -dy[0], dy[0], np.zeros_like(dy[0])
@@ -138,18 +137,19 @@ def _pack(kind: ModelKind, state: EpidemicState, b: int) -> np.ndarray:
     return state.x[None].repeat(b, axis=0)
 
 
-def _field(kind: ModelKind, beta: float, gamma: Sequence[float] | None, g: Graph, b: int):
+def _field(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, b: int):
     """Vector field f(y, out) on a working block of b runs (see _pack), written into out.
 
-    out must not overlap y. Row j recovers at gamma[j] (gamma is None for
-    SI). The pressure P = beta A x comes from one product bound with beta in
-    its weights, and each field is reassociated around it to save
-    operations: SI is P - x P, SIS is P - x (P + gamma), and SIR is
-    ds = -s P, dr = gamma x, dx = s P - gamma x.
+    out must not overlap y. Row j recovers at gamma[j]. SI is SIS at
+    gamma = 0: P + 0.0 is P bit for bit, since bincount never returns -0.0.
+    The pressure P = beta A x comes from one product bound with beta in its
+    weights, and each field is reassociated around it to save operations:
+    SIS is P - x (P + gamma), and SIR is ds = -s P, dr = gamma x,
+    dx = s P - gamma x.
     """
     pressure = g.block_product(b, beta)
-    if gamma is not None:  # one rate per entry: same-shape operands take numpy's fast loops
-        gamma = np.array(gamma, dtype=float).repeat(g.n).reshape(b, g.n)
+    # One rate per entry: same-shape operands take numpy's fast loops.
+    gamma = np.array(gamma, dtype=float).repeat(g.n).reshape(b, g.n)
     if kind is ModelKind.SIR:
         def f(y, out):
             x, ds, dr = y[1], out[0], out[2]
@@ -157,16 +157,11 @@ def _field(kind: ModelKind, beta: float, gamma: Sequence[float] | None, g: Graph
             np.multiply(gamma, x, dr)
             np.subtract(ds, dr, out[1])
             np.negative(ds, ds)
-    elif kind is ModelKind.SIS:
+    else:
         def f(x, out):
             p = pressure(x)
             np.add(p, gamma, out)
             np.multiply(x, out, out)
-            np.subtract(p, out, out)
-    else:
-        def f(x, out):
-            p = pressure(x)
-            np.multiply(x, p, out)
             np.subtract(p, out, out)
 
     return f
@@ -208,9 +203,10 @@ def integrate(
     order, all started from state0: they are integrated together as the
     rows of one working block (see _pack), so each RK4 stage costs one
     sparse product, and row j is bit-identical to integrating params[j] on
-    its own. The RK4 stages reuse buffers allocated once per run, the state
-    is updated in place, and recording copies it into a block of records
-    sized from n_steps and record_every, shrunk on a stationary stop.
+    its own. SI runs as SIS at gamma = 0 (see _field). The RK4 stages reuse
+    buffers allocated once per run, the state is updated in place, and
+    recording copies it into a block of records sized from n_steps and
+    record_every, shrunk on a stationary stop.
 
     Records the initial state, every record_every-th step, and the final
     state. With stop_when_stationary the run ends early once the sup-norm of
@@ -239,8 +235,7 @@ def integrate(
 
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")
-    gamma = None if kind is ModelKind.SI else [p.gamma for p in batch]
-    f = _field(kind, beta, gamma, g, len(batch))
+    f = _field(kind, beta, [p.gamma or 0.0 for p in batch], g, len(batch))
     y = _pack(kind, state0, len(batch))
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     stages = ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4))  # stage = y + c k_in -> k_out

@@ -11,8 +11,8 @@ O(n + nnz). ``block_product`` is the one product: it binds A X for a
 lane-major (B, n) block of vectors once, and ``transpose`` gives the graph
 of A' for products with the transpose. The dense matrix is built only when
 ``adjacency`` is read, and the strongly connected components only when
-``components`` or ``irreducible_parts`` is read; each graph caches its own
-component labels, one SCC pass per support it is asked about.
+``irreducible_parts`` is called; each graph caches the parts of the last
+support it was asked about, so one SCC pass serves every call on that support.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class Graph:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_label_cache", {})  # positive-weight support -> SCC labels
         object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
 
     def with_weights(self, weights) -> Graph:
@@ -117,24 +116,6 @@ class Graph:
         a.setflags(write=False)
         return a
 
-    @cached_property
-    def components(self) -> np.ndarray:
-        """Strongly connected component label of each node, along positive-weight edges.
-
-        One O(n + nnz) pass, cached on this graph alone; irreducible_parts
-        reuses it when every node is live.
-        """
-        support = self.weights > 0
-        return self._labels(support, np.packbits(support).tobytes())
-
-    def _labels(self, support: np.ndarray, key: bytes) -> np.ndarray:
-        if key not in self._label_cache:
-            # a[i, j] > 0 is an edge j -> i
-            labels = _scc_labels(self.n, self.cols[support], self.rows[support])
-            labels.setflags(write=False)
-            self._label_cache[key] = labels
-        return self._label_cache[key]
-
     def irreducible_parts(self, live=None) -> list[tuple[np.ndarray, Graph]]:
         """(nodes, sub-graph) of each strongly connected component with an inner edge.
 
@@ -155,18 +136,27 @@ class Graph:
         key = np.packbits(support).tobytes()
         if key not in self._parts:
             self._parts.clear()
-            labels = self._labels(support, key)
+            # a[i, j] > 0 is an edge j -> i
+            labels = _scc_labels(self.n, self.cols[support], self.rows[support])
             row_labels = labels[self.rows]
-            inner = support & (row_labels == labels[self.cols])  # edges within a component
+            # Stable sorts group the nodes and the edges inside a component by
+            # label and keep their order within a group, so each sub-graph's
+            # edges stay row-major, and no part pays an O(n + nnz) mask.
+            by_label = np.argsort(labels, kind="stable")
+            first = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+            local = np.empty(self.n, dtype=np.intp)  # each node's index in its part
+            local[by_label] = np.arange(self.n) - first[labels[by_label]]
+            inner = np.flatnonzero(support & (row_labels == labels[self.cols]))
+            inner = inner[np.argsort(row_labels[inner], kind="stable")]
+            counts = np.bincount(row_labels[inner], minlength=first.size - 1)
+            first_edge = np.concatenate(([0], np.cumsum(counts)))
             parts = []
-            for c in np.flatnonzero(np.bincount(row_labels[inner])):
-                nodes = np.flatnonzero(labels == c)
+            for c in np.flatnonzero(counts):
+                nodes = by_label[first[c] : first[c + 1]]
                 if nodes.size == self.n:
                     parts.append((nodes, self))
                     continue
-                local = np.empty(self.n, dtype=np.intp)
-                local[nodes] = np.arange(nodes.size)
-                edges = inner & (row_labels == c)
+                edges = inner[first_edge[c] : first_edge[c + 1]]
                 rows, cols = local[self.rows[edges]], local[self.cols[edges]]
                 parts.append((nodes, _edge_graph(nodes.size, rows, cols, self.weights[edges])))
             self._parts[key] = parts
@@ -264,9 +254,19 @@ def load_graph(edge_list_text: str) -> Graph:
 
 
 def graph_from_rows(rows) -> Graph:
-    """Build a Graph from a matrix given as a list of rows (the JSON form)."""
+    """Build a Graph from a matrix given as a list of rows (the JSON form).
+
+    Every entry must be a number; booleans, strings and nulls are errors that
+    name the entry's 1-based row and column.
+    """
+    for i, row in enumerate(rows if isinstance(rows, list) else [], start=1):
+        for j, v in enumerate(row if isinstance(row, list) else [], start=1):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise GraphFormatError(f"row {i}, column {j}: entry {v!r} is not a number")
     try:
         a = np.array(rows, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise GraphFormatError("adjacency entries must be finite") from None
     except (TypeError, ValueError):
         raise GraphFormatError("matrix rows must be numeric and rectangular") from None
     return Graph(a)
@@ -277,12 +277,14 @@ def is_strongly_connected(g: Graph) -> bool:
 
     Equivalently, the adjacency matrix is irreducible, so every node has a
     positive in-edge (at n = 1, a positive self-loop): fewer positive edges
-    than nodes answer False at once. Otherwise reads g.components, one
-    O(n + nnz) pass cached on g.
+    than nodes answer False at once. Otherwise reads g.irreducible_parts(),
+    one O(n + nnz) pass cached on g: the graph is strongly connected when its
+    only part is g itself.
     """
     if np.count_nonzero(g.weights) < g.n:
         return False
-    return not g.components.any()  # a single component is labelled 0
+    parts = g.irreducible_parts()
+    return len(parts) == 1 and parts[0][1] is g
 
 
 def _scc_labels(n: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:

@@ -221,8 +221,8 @@ def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     """diag(s) A: the contact matrix as seen by the currently susceptible.
 
     Each result is a new graph that pays its own SCC pass when its
-    components are read. spectral_radius(g, s=block) gives the radii of a
-    block of these matrices without building them, on g's cached components.
+    irreducible_parts are read. spectral_radius(g, s=block) gives the radii
+    of a block of these matrices without building them, on g's cached parts.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (g.n,):

@@ -502,6 +502,14 @@ def test_bad_graph_exits_3(tmp_path, capsys):
     code = main(["threshold", "--graph", str(ring), "--beta", "1", "--gamma", "1"])
     assert code == 3
 
+    matrix = tmp_path / "mat.json"
+    matrix.write_text('[[0, true], ["3", 0]]')  # JSON that numpy would read as 1 and 3
+    code = main(["threshold", "--graph", str(matrix), "--beta", "1", "--gamma", "1"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "row 1, column 2: entry True is not a number" in captured.err
+    assert captured.out == ""
+
 
 @pytest.mark.parametrize(
     "text, line",
@@ -527,6 +535,29 @@ def test_fewer_edges_than_nodes_exit_3_without_an_scc_pass(tmp_path, capsys, scc
     assert code == 3
     assert "not strongly connected" in capsys.readouterr().err
     assert scc_passes == []
+
+
+def test_asymptotic_checks_the_graph_before_building_start_vectors(
+    tmp_path, capsys, monkeypatch
+):
+    def fail(args, n):
+        raise AssertionError(f"start vectors of length {n} built before the graph check")
+
+    monkeypatch.setattr("netepi.cli._initial_vectors", fail)
+    path = tmp_path / "sparse.txt"
+    path.write_text("3037000499 1 1\n1 3037000499 1\n")
+    argv = ["--graph", str(path), "--beta", "1", "--gamma", "1", "--seed-node", "1"]
+    assert main(["asymptotic", *argv]) == 3
+    assert "not strongly connected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("endemic", []), ("asymptotic", ["--x0-uniform", "0.05"])]
+)
+def test_equilibrium_commands_make_one_scc_pass(g20_file, capsys, scc_passes, command, extra):
+    code = main([command, "--graph", g20_file, "--beta", "1.0", "--gamma", "1.0", *extra])
+    assert code == 0
+    assert scc_passes == [20]
 
 
 def test_missing_required_flag_exits_2(pair_graph, capsys):

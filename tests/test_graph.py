@@ -90,6 +90,14 @@ def test_graph_from_rows_validates():
         graph_from_rows([[0, 1], [1]])
     with pytest.raises(GraphFormatError):
         graph_from_rows([[0, -1], [1, 0]])
+    with pytest.raises(GraphFormatError, match="row 1, column 2: entry True is not a number"):
+        graph_from_rows([[0, True], [True, 0]])
+    with pytest.raises(GraphFormatError, match="row 2, column 1: entry '3' is not a number"):
+        graph_from_rows([[0, 2], ["3", 0]])
+    with pytest.raises(GraphFormatError, match="row 1, column 2: entry None is not a number"):
+        graph_from_rows([[0, None], [None, 0]])
+    with pytest.raises(GraphFormatError, match="must be finite"):
+        graph_from_rows([[0, 10**400], [1, 0]])  # beyond the float range
     g = graph_from_rows([[0, 1], [1, 0]])
     assert g.n == 2
 
@@ -168,14 +176,17 @@ def test_strong_connectivity_matches_brute_force(n, data):
 
 @given(st.integers(min_value=1, max_value=8), st.data())
 @settings(max_examples=200)
-def test_component_labels_match_mutual_reachability(n, data):
+def test_irreducible_parts_match_mutual_reachability(n, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
     a = np.array(bits, dtype=float).reshape(n, n)
-    labels = Graph(a).components
     reach = _closure(a) | np.eye(n, dtype=bool)
-    same = labels[:, None] == labels[None, :]
-    np.testing.assert_array_equal(same, reach & reach.T)
-    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+    classes = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(n)}
+    # Only a single node without a self-loop lacks an inner edge.
+    expected = sorted(c for c in classes if len(c) > 1 or a[c[0], c[0]] > 0)
+    parts = Graph(a).irreducible_parts()
+    assert sorted(tuple(nodes.tolist()) for nodes, _ in parts) == expected
+    for nodes, sub in parts:
+        np.testing.assert_array_equal(sub.adjacency, a[np.ix_(nodes, nodes)])
 
 
 def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
@@ -184,7 +195,7 @@ def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
     g = Graph(a)  # edges in order (0, 3), (1, 0), (2, 0), (2, 1), (3, 2)
     assert is_strongly_connected(g)
     assert is_strongly_connected(g)
-    g.irreducible_parts(np.ones(4, dtype=bool))  # the support of g.components: no pass
+    g.irreducible_parts(np.ones(4, dtype=bool))  # the full support again: no pass
     assert len(scc_passes) == 1
     assert is_strongly_connected(g.with_weights([2.0, 3.0, 4.0, 5.0, 6.0]))
     assert not is_strongly_connected(g.with_weights([1.0, 0.0, 1.0, 1.0, 1.0]))
@@ -310,7 +321,7 @@ def _ring_text(n: int, skip_first: bool = False) -> str:
 def test_directed_ring_connectivity_is_linear():
     times = []
     for _ in range(3):
-        ring = load_graph(_ring_text(20_000))  # fresh: the components are cached
+        ring = load_graph(_ring_text(20_000))  # fresh: the parts are cached
         start = time.perf_counter()
         assert is_strongly_connected(ring)
         times.append(time.perf_counter() - start)
@@ -318,6 +329,18 @@ def test_directed_ring_connectivity_is_linear():
     # search takes about 16 ms; a search paying O(n) per level takes over a second.
     assert min(times) < 0.25
     assert not is_strongly_connected(load_graph(_ring_text(20_000, skip_first=True)))
+
+
+def test_many_components_cost_linear_time():
+    pairs = "".join(f"{i} {i + 1} 1.0\n{i + 1} {i} 1.0\n" for i in range(1, 40_000, 2))
+    g = load_graph(pairs)
+    start = time.perf_counter()
+    assert not is_strongly_connected(g)
+    elapsed = time.perf_counter() - start
+    parts = g.irreducible_parts()
+    assert len(parts) == 20_000 and all(sub.n == 2 and sub.nnz == 2 for _, sub in parts)
+    # About 0.15 s on a 2-core VM; one O(n + nnz) mask per part takes about 2 s.
+    assert elapsed < 1.0
 
 
 def _sparse_edge_list(n: int, degree: float, seed: int) -> str:
