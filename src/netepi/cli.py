@@ -20,8 +20,8 @@ diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import io
 import json
 import logging
 import math
@@ -226,12 +226,9 @@ def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.n
     return x0, r0
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fp:
-            fp.write(text)
+def _output(path: str | None):
+    """A context giving the destination: the file at path, closed on exit, or stdout, left open."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
 def _json_text(result) -> str:
@@ -281,7 +278,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         trajectories.update(zip(members, runs))
     for i, path in enumerate(paths):
-        _write_output(dynamics.trajectory_csv_text(trajectories[i]), path)
+        with _output(path) as fp:
+            dynamics.write_trajectory_csv(trajectories[i], fp)
         if len(paths) > 1:
             logger.info("wrote %s", path)
     return EXIT_OK
@@ -322,7 +320,8 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
         tol=_positive(args.tol, "tol"),
         bracket=args.bracket,
     )
-    _write_output(_json_text(result), args.out)
+    with _output(args.out) as fp:
+        fp.write(_json_text(result))
     return EXIT_OK
 
 
@@ -345,7 +344,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
         tol=_positive(args.tol, "tol"),
         start=args.start,
     )
-    _write_output(_json_text(result), args.out)
+    with _output(args.out) as fp:
+        fp.write(_json_text(result))
     return EXIT_OK
 
 
@@ -355,6 +355,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise ConfigError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
         raise ConfigError("--trajectory needs --rt-out for the R(t) CSV")
+    if args.rt_out is not None and args.rt_out == args.out:
+        raise ConfigError(f"--rt-out and --out would write one file twice: {args.out}")
     g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)
@@ -366,13 +368,13 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         if traj.n != g.n:
             raise ConfigError("trajectory and graph node counts differ")
         times, values = threshold.effective_r_series(traj, g, beta, gamma)
-        buf = io.StringIO()
-        threshold.write_r_series_csv(times, values, buf)
-        _write_output(buf.getvalue(), args.rt_out)
+        with _output(args.rt_out) as fp:
+            dynamics.write_csv(fp, ("t", "R_t"), (times, values))
         tau = threshold.subthreshold_crossing(times, values)
         report = dataclasses.replace(report, crossing_time=tau)
 
-    _write_output(_json_text(report), args.out)
+    with _output(args.out) as fp:
+        fp.write(_json_text(report))
     return EXIT_OK
 
 
@@ -391,8 +393,8 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
         x0 = 1.0 - s0 - r0
         if x0 > 0 and beta * s0 / gamma >= 1.0:
             rows.append(("x_max", scalar.sir_xmax(s0, x0, beta, gamma)))
-        text = "quantity,value\n" + "".join(f"{k},{v:.17g}\n" for k, v in rows)
-        _write_output(text, args.out)
+        with _output(args.out) as fp:
+            fp.writelines(["quantity,value\n", *(f"{k},{v:.17g}\n" for k, v in rows)])
         return EXIT_OK
 
     _require(args, "x0", "t_end")
@@ -403,8 +405,8 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
         values = scalar.si_closed_form(args.x0, beta, grid)
     else:
         values = scalar.sis_closed_form(args.x0, beta, gamma, grid)
-    text = "t,x\n" + "".join(f"{t:.17g},{v:.17g}\n" for t, v in zip(grid, values))
-    _write_output(text, args.out)
+    with _output(args.out) as fp:
+        dynamics.write_csv(fp, ("t", "x"), (grid, values))
     return EXIT_OK
 
 

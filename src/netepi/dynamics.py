@@ -10,11 +10,13 @@ Several parameter sets integrate together as the rows of one state block,
 so a recovery-rate sweep pays for one sparse product per RK4 stage (SIR as
 a (3, B, n) block of s, x and r planes). A step reuses preallocated buffers
 and evaluates fields reassociated around the product with beta folded in.
+Every CSV of the package, trajectories and series alike, goes through one
+row writer, write_csv, which formats and writes one row at a time.
 """
 
 from __future__ import annotations
 
-import io
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -345,44 +347,54 @@ def late_time_decay_rates(traj: Trajectory, window: tuple[float, float]) -> np.n
     return coeffs[0]
 
 
-# --- trajectory CSV (t, s_1..s_n, x_1..x_n, r_1..r_n) ----------------------
+# --- CSV output ---------------------------------------------------------------
 
 
-def write_trajectory_csv(traj: Trajectory, fp) -> None:
-    """Write the trajectory in the interchange CSV layout (17 significant digits)."""
-    n = traj.n
-    header = (
-        ["t"]
-        + [f"s_{i}" for i in range(1, n + 1)]
-        + [f"x_{i}" for i in range(1, n + 1)]
-        + [f"r_{i}" for i in range(1, n + 1)]
-    )
+def write_csv(fp, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write a header line, then each row of the columns, 17 significant digits a value.
+
+    A column is an array of one value per row, or a 2-D array of several.
+    Rows are formatted and written one at a time: no copy of the whole
+    table and no string of the whole file is made.
+    """
+    blocks = [np.reshape(c, (len(c), -1)) for c in columns]
     fp.write(",".join(header) + "\n")
     # '%.17g' % v formats a float exactly as f"{v:.17g}" does.
     template = ",".join(["%.17g"] * len(header)) + "\n"
-    rows = np.column_stack((traj.times, traj.s, traj.x, traj.r))
-    fp.writelines(template % tuple(row) for row in rows.tolist())
+    for k in range(len(blocks[0])):
+        fp.write(template % tuple(np.concatenate([b[k] for b in blocks]).tolist()))
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
-    return buf.getvalue()
+def write_trajectory_csv(traj: Trajectory, fp) -> None:
+    """Write the trajectory as CSV: columns t, s_1..s_n, x_1..x_n, r_1..r_n."""
+    header = ["t", *(f"{c}_{i}" for c in "sxr" for i in range(1, traj.n + 1))]
+    write_csv(fp, header, (traj.times, traj.s, traj.x, traj.r))
 
 
 def read_trajectory_csv(fp, params: ModelParams | None = None) -> Trajectory:
-    """Read a trajectory written by write_trajectory_csv."""
+    """Read a trajectory written by write_trajectory_csv.
+
+    Raises InputError unless the file holds at least one row, every value
+    is finite and the times increase strictly.
+    """
     try:
         header = fp.readline()  # UnicodeDecodeError is a ValueError
-        data = np.loadtxt(fp, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty body is reported below as an InputError, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fp, delimiter=",", ndmin=2)
     except ValueError as e:
         raise InputError(f"not a trajectory CSV: {e}") from e
     cols = header.strip().split(",")
     if not cols or cols[0] != "t" or (len(cols) - 1) % 3 != 0:
         raise InputError("not a trajectory CSV: bad header")
     n = (len(cols) - 1) // 3
+    if data.size == 0:
+        raise InputError("trajectory CSV has a header but no rows")
     if data.shape[1] != 1 + 3 * n:
         raise InputError("trajectory CSV rows do not match the header")
+    if not np.all(np.isfinite(data)):
+        raise InputError("trajectory CSV holds a non-finite value")
     times = data[:, 0]
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise InputError("trajectory times must be strictly increasing")

@@ -128,7 +128,8 @@ class Graph:
         diagonal, and are left out. The parts of the last support asked for
         are cached on this graph, so consecutive calls with one support, such
         as the blocks of an R(t) series between zero-set changes, build them
-        once.
+        once. The cache holds None for this graph itself, so a graph never
+        refers to itself and is freed without the cycle collector.
         """
         support = self.weights > 0
         if live is not None:
@@ -154,13 +155,13 @@ class Graph:
             for c in np.flatnonzero(counts):
                 nodes = by_label[first[c] : first[c + 1]]
                 if nodes.size == self.n:
-                    parts.append((nodes, self))
+                    parts.append((nodes, None))
                     continue
                 edges = inner[first_edge[c] : first_edge[c + 1]]
                 rows, cols = local[self.rows[edges]], local[self.cols[edges]]
                 parts.append((nodes, _edge_graph(nodes.size, rows, cols, self.weights[edges])))
             self._parts[key] = parts
-        return self._parts[key]
+        return [(nodes, self if sub is None else sub) for nodes, sub in self._parts[key]]
 
 
 def _edge_graph(n, rows, cols, weights) -> Graph:

@@ -128,8 +128,3 @@ def subthreshold_crossing(times: np.ndarray, values: np.ndarray) -> float | None
     frac = (r_prev - 1.0) / (r_prev - r_next)
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))
 
-
-def write_r_series_csv(times: np.ndarray, values: np.ndarray, fp) -> None:
-    fp.write("t,R_t\n")
-    for t, v in zip(times, values):
-        fp.write(f"{t:.17g},{v:.17g}\n")

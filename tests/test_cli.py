@@ -716,6 +716,61 @@ def test_trajectory_without_rt_out_exits_2(tmp_path, capsys):
     assert "--trajectory needs --rt-out" in capsys.readouterr().err
 
 
+def test_rt_out_and_out_naming_one_file_exit_2(pair_graph, tmp_path, capsys):
+    same = tmp_path / "same.txt"
+    argv = ["--graph", pair_graph, "--beta", "1", "--gamma", "1",
+            "--trajectory", str(tmp_path / "missing.csv"), "--rt-out", str(same), "--out", str(same)]
+    code = main(["threshold", *argv])
+    assert code == 2
+    assert "--rt-out and --out would write one file twice" in capsys.readouterr().err
+    assert not same.exists()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0.9,0.9,0.1,0.1,0,0\nnan,0.8,0.8,0.1,0.1,0.1,0.1\n2,0.7,0.7,0.1,0.1,0.2,0.2\n", "non-finite"),
+        ("0,0.9,0.9,0.1,0.1,0,0\ninf,0.8,0.8,0.1,0.1,0.1,0.1\n", "non-finite"),
+        ("0,0.9,0.9,0.1,0.1,0,0\n1,0.8,nan,0.1,0.1,0.1,0.1\n", "non-finite"),
+        ("", "has a header but no rows"),
+    ],
+    ids=["nan-time", "inf-time", "nan-state", "header-only"],
+)
+def test_non_finite_or_empty_trajectory_exits_2(pair_graph, tmp_path, capsys, rows, message):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,s_1,s_2,x_1,x_2,r_1,r_2\n" + rows)
+    rt, out = tmp_path / "rt.csv", tmp_path / "report.json"
+    argv = ["--graph", pair_graph, "--beta", "2", "--gamma", "1",
+            "--trajectory", str(traj), "--rt-out", str(rt), "--out", str(out)]
+    code = main(["threshold", *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("netepi: bad configuration") and message in err
+    assert not rt.exists() and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("simulate", ["--model", "SIR", "--beta", "1", "--gamma", "0.5", "--seed-node", "1",
+                      "--t-end", "1", "--dt", "0.1"]),
+        ("endemic", ["--beta", "2", "--gamma", "1"]),
+        ("asymptotic", ["--beta", "2", "--gamma", "1", "--x0-uniform", "0.1"]),
+        ("threshold", ["--beta", "2", "--gamma", "1"]),
+        ("scalar", ["--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1"]),
+        ("scalar", ["--model", "SIR", "--beta", "2", "--gamma", "0.5", "--s0", "0.95"]),
+    ],
+)
+def test_stdout_equals_the_out_file(pair_graph, tmp_path, capsys, command, argv):
+    argv = argv if command == "scalar" else ["--graph", pair_graph, *argv]
+    assert main([command, *argv]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_runtime_imports_only_numpy_and_the_standard_library():
     probe = (
         "import sys, json; before = set(sys.modules); {imports}; "

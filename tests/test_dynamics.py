@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,3 +449,27 @@ def test_trajectory_csv_matches_per_value_formatting():
         buf = io.StringIO()
         write_trajectory_csv(t, buf)
         assert buf.getvalue() == "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_is_written_one_row_at_a_time(tmp_path):
+    rng = np.random.default_rng(0)
+    rows, n = 50, 500
+    traj = Trajectory(
+        times=np.arange(rows) * 0.1,
+        s=rng.random((rows, n)),
+        x=rng.random((rows, n)),
+        r=rng.random((rows, n)),
+        params=None,
+        step_size=0.1,
+    )
+    path = tmp_path / "traj.csv"
+    with open(path, "w") as fp:
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The whole table as a list of Python floats takes about as much as the
+    # text it becomes; one row at a time stays near the size of one row.
+    assert peak < path.stat().st_size / 2

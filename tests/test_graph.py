@@ -1,5 +1,7 @@
+import gc
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -201,6 +203,18 @@ def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
     assert not is_strongly_connected(g.with_weights([1.0, 0.0, 1.0, 1.0, 1.0]))
     assert not is_strongly_connected(g.with_weights([2.0, 0.0, 2.0, 2.0, 2.0]))
     assert len(scc_passes) == 4  # one per reweighted graph, even on one support
+
+
+def test_checked_graph_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        g = symmetric_pair()
+        assert is_strongly_connected(g)  # its one part is g itself
+        alive = weakref.ref(g)
+        del g
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_fewer_positive_edges_than_nodes_need_no_scc_pass(scc_passes):
