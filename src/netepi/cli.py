@@ -8,7 +8,7 @@ checked like flags and explicit flags win; a key the subcommand does not
 take, or a bad value, exits 2. Exit codes distinguish failure classes so
 pipelines can branch on them:
 
-    2  bad configuration / malformed options
+    2  bad configuration / malformed options, or input too large to allocate
     3  graph errors (parse failures, not strongly connected)
     4  threshold precondition failures (e.g. endemic below threshold)
     5  numerical failures (non-convergence, integrator invariant violation)
@@ -49,10 +49,6 @@ EXIT_CONFIG = 2
 EXIT_GRAPH = 3
 EXIT_THRESHOLD = 4
 EXIT_NUMERICAL = 5
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
@@ -123,13 +119,13 @@ def _parse_with_config(command: str, path: str, flags: list[str]) -> argparse.Na
         with open(path) as fp:
             file_values = json.load(fp)
     except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError
-        raise ConfigError(f"cannot read config file: {e}") from e
+        raise InputError(f"cannot read config file: {e}") from e
     if not isinstance(file_values, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise InputError("config file must hold a JSON object")
     tokens = {}
     for key, val in file_values.items():
         if val is None or isinstance(val, (bool, list, dict)):
-            raise ConfigError(
+            raise InputError(
                 f"config key {key!r} must be a number or a string, not {json.dumps(val)}"
             )
         # One --flag=value token each, so a value starting with "-" stays a value.
@@ -139,33 +135,33 @@ def _parse_with_config(command: str, path: str, flags: list[str]) -> argparse.Na
             [command, *tokens.values(), *flags]
         )
     except argparse.ArgumentError as e:
-        raise ConfigError(f"config file: {e}") from None
+        raise InputError(f"config file: {e}") from None
     # A "config" key would be overridden by the command line's own --config.
     unknown = [key for key, token in tokens.items() if token in extras or key == "config"]
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
     return args
 
 
 def _require(args: argparse.Namespace, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required for {args.command}")
+            raise InputError(f"--{name.replace('_', '-')} is required for {args.command}")
 
 
 def _positive(value, name):
     if value is None or not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be positive and finite")
+        raise InputError(f"{name} must be positive and finite")
     return float(value)
 
 
 def _parse_gammas(args: argparse.Namespace) -> list[float]:
     if args.gamma is None:
-        raise ConfigError("--gamma is required")
+        raise InputError("--gamma is required")
     try:
         gammas = [float(p) for p in args.gamma.split(",")]
     except ValueError:
-        raise ConfigError(f"bad --gamma value {args.gamma!r}") from None
+        raise InputError(f"bad --gamma value {args.gamma!r}") from None
     for gv in gammas:
         _positive(gv, "gamma")
     return gammas
@@ -175,7 +171,7 @@ def _single_gamma(args: argparse.Namespace) -> float:
     """The one --gamma value of a subcommand that takes no sweep."""
     gammas = _parse_gammas(args)
     if len(gammas) != 1:
-        raise ConfigError(f"{args.command} takes one --gamma value, got {args.gamma!r}")
+        raise InputError(f"{args.command} takes one --gamma value, got {args.gamma!r}")
     return gammas[0]
 
 
@@ -184,7 +180,7 @@ def _read_graph(path: str) -> Graph:
         with open(path) as fp:
             text = fp.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise ConfigError(f"cannot read graph file: {e}") from e
+        raise InputError(f"cannot read graph file: {e}") from e
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("["):
         try:
@@ -199,25 +195,25 @@ def _read_vector(path: str, n: int, name: str) -> np.ndarray:
     try:
         vec = np.loadtxt(path, comments="#", ndmin=1)
     except (OSError, ValueError) as e:
-        raise ConfigError(f"cannot read {name} file: {e}") from e
+        raise InputError(f"cannot read {name} file: {e}") from e
     if vec.shape != (n,):
-        raise ConfigError(f"{name} file holds {vec.shape[0]} values, graph has {n} nodes")
+        raise InputError(f"{name} file holds {vec.shape[0]} values, graph has {n} nodes")
     if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{name} file holds a non-finite value")
+        raise InputError(f"{name} file holds a non-finite value")
     return vec
 
 
 def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Resolve the initial infection (uniform | seed node | file) and optional r0 file."""
     if sum(v is not None for v in (args.x0_uniform, args.seed_node, args.x0_file)) != 1:
-        raise ConfigError("give exactly one of --x0-uniform, --seed-node, --x0-file")
+        raise InputError("give exactly one of --x0-uniform, --seed-node, --x0-file")
     if args.x0_uniform is not None:
         if not 0 <= args.x0_uniform <= 1:
-            raise ConfigError("--x0-uniform must lie in [0, 1]")
+            raise InputError("--x0-uniform must lie in [0, 1]")
         x0 = np.full(n, args.x0_uniform)
     elif args.seed_node is not None:
         if not 1 <= args.seed_node <= n:
-            raise ConfigError(f"--seed-node must lie in 1..{n}")
+            raise InputError(f"--seed-node must lie in 1..{n}")
         x0 = np.zeros(n)
         x0[args.seed_node - 1] = 1.0
     else:
@@ -247,17 +243,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     x0, r0 = _initial_vectors(args, g.n)
     if kind is not ModelKind.SIR and args.r0_file is not None:
-        raise ConfigError(f"--r0-file only applies to SIR, not {kind.value}")
+        raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
 
     if kind is ModelKind.SI:
         if args.gamma is not None:
-            raise ConfigError("SI has no --gamma")
+            raise InputError("SI has no --gamma")
         gammas = [None]
     else:
         gammas = _parse_gammas(args)
     paths = _output_paths(args.out, gammas)
     if len(set(paths)) != len(paths):
-        raise ConfigError(f"--gamma {args.gamma} would write one file twice: {paths}")
+        raise InputError(f"--gamma {args.gamma} would write one file twice: {paths}")
 
     state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
@@ -294,12 +290,12 @@ def _output_paths(out: str | None, gammas: list) -> list:
     """
     if out is not None and "{gamma}" in out:
         if gammas == [None]:
-            raise ConfigError("SI has no gamma to fill {gamma} in --out")
+            raise InputError("SI has no gamma to fill {gamma} in --out")
         return [out.replace("{gamma}", label) for label in _gamma_labels(gammas)]
     if len(gammas) == 1:
         return [out]
     if out is None:
-        raise ConfigError("a --gamma sweep needs --out (one file per value)")
+        raise InputError("a --gamma sweep needs --out (one file per value)")
     root, ext = os.path.splitext(out)
     return [f"{root}_gamma{label}{ext or '.csv'}" for label in _gamma_labels(gammas)]
 
@@ -333,7 +329,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
     x0, r0 = _initial_vectors(args, g.n)
     s0 = 1.0 - x0 - r0
     if np.any(s0 < 0):
-        raise ConfigError("x0 + r0 exceeds 1 at some node")
+        raise InputError("x0 + r0 exceeds 1 at some node")
     result = equilibria.sir_asymptotic(
         g,
         _positive(args.beta, "beta"),
@@ -352,11 +348,16 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
     if args.rt_out is not None and args.trajectory is None:
-        raise ConfigError("--rt-out needs --trajectory")
+        raise InputError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
-        raise ConfigError("--trajectory needs --rt-out for the R(t) CSV")
-    if args.rt_out is not None and args.rt_out == args.out:
-        raise ConfigError(f"--rt-out and --out would write one file twice: {args.out}")
+        raise InputError("--trajectory needs --rt-out for the R(t) CSV")
+    if args.trajectory is not None:
+        trajectory, rt_out = os.path.realpath(args.trajectory), os.path.realpath(args.rt_out)
+        out = None if args.out is None else os.path.realpath(args.out)
+        if rt_out == out:
+            raise InputError(f"--rt-out and --out would write one file twice: {args.out}")
+        if trajectory in (rt_out, out):
+            raise InputError(f"an output would overwrite the --trajectory input: {args.trajectory}")
     g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)
@@ -366,7 +367,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         with open(args.trajectory) as fp:
             traj = dynamics.read_trajectory_csv(fp)
         if traj.n != g.n:
-            raise ConfigError("trajectory and graph node counts differ")
+            raise InputError("trajectory and graph node counts differ")
         times, values = threshold.effective_r_series(traj, g, beta, gamma)
         with _output(args.rt_out) as fp:
             dynamics.write_csv(fp, ("t", "R_t"), (times, values))
@@ -386,7 +387,7 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
 
     if kind is ModelKind.SIR:
         if args.s0 is None:
-            raise ConfigError("--s0 is required for scalar SIR")
+            raise InputError("--s0 is required for scalar SIR")
         s0 = args.s0
         r0 = args.r0 if args.r0 is not None else 0.0
         rows = [("r_inf", scalar.sir_rinf(s0, r0, beta, gamma))]
@@ -419,9 +420,15 @@ _COMMANDS = {
 }
 
 
-def run(args: argparse.Namespace) -> int:
-    """Execute one parsed command line; returns the process exit code."""
+def run(args: argparse.Namespace, flags: list[str]) -> int:
+    """Execute one parsed command line; returns the process exit code.
+
+    flags are the command line's tokens after the subcommand, parsed again
+    after the entries of a --config file.
+    """
     try:
+        if args.config is not None:
+            args = _parse_with_config(args.command, args.config, flags)
         return _COMMANDS[args.command](args)
     except (GraphFormatError, ReducibleMatrixError) as e:
         print(f"netepi: graph error: {e}", file=sys.stderr)
@@ -432,7 +439,7 @@ def run(args: argparse.Namespace) -> int:
     except (NonConvergenceError, InvariantViolationError) as e:
         print(f"netepi: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, InputError, OSError) as e:
+    except (InputError, OSError, MemoryError) as e:
         print(f"netepi: bad configuration: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -449,15 +456,7 @@ def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    if args.config is not None:
-        try:
-            args = _parse_with_config(
-                args.command, args.config, argv[argv.index(args.command) + 1 :]
-            )
-        except ConfigError as e:
-            print(f"netepi: bad configuration: {e}", file=sys.stderr)
-            return EXIT_CONFIG
-    return run(args)
+    return run(args, argv[argv.index(args.command) + 1 :])
 
 
 if __name__ == "__main__":

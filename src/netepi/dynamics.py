@@ -371,8 +371,8 @@ def write_trajectory_csv(traj: Trajectory, fp) -> None:
     write_csv(fp, header, (traj.times, traj.s, traj.x, traj.r))
 
 
-def read_trajectory_csv(fp, params: ModelParams | None = None) -> Trajectory:
-    """Read a trajectory written by write_trajectory_csv.
+def read_trajectory_csv(fp) -> Trajectory:
+    """Read a trajectory written by write_trajectory_csv; its params are None.
 
     Raises InputError unless the file holds at least one row, every value
     is finite and the times increase strictly.
@@ -404,6 +404,6 @@ def read_trajectory_csv(fp, params: ModelParams | None = None) -> Trajectory:
         s=data[:, 1 : n + 1],
         x=data[:, n + 1 : 2 * n + 1],
         r=data[:, 2 * n + 1 :],
-        params=params,
+        params=None,
         step_size=dt,
     )

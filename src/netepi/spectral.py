@@ -17,13 +17,13 @@ The bounds close only where x converges to a positive eigenvector, which an
 irreducible matrix guarantees. A reducible matrix is iterated one strongly
 connected component of its positive-weight support at a time; its spectral
 radius is the largest component radius, and a single node without a
-self-loop contributes 0. Matrices are Graphs, so each iteration costs one
-O(n + nnz) product; a dense matrix argument is converted to a Graph once.
+self-loop contributes 0. Every function takes a Graph, so each iteration
+costs one O(n + nnz) product.
 
 The iteration is lane-major: it moves a (B, n) block of vectors, one row
 per matrix, with one product bound by Graph.block_product per step, and
 each row stops on its own test. dominant_eig and v_max run it with B = 1.
-spectral_radius with a block of states s runs it on the B matrices
+spectral_radius takes a block of states s and runs it on the B matrices
 diag(s[k]) A at once, which share their components, so an R(t) series pays
 the per-step overhead once per block of samples instead of once per sample.
 
@@ -76,16 +76,6 @@ class SpectralTriple:
         return v[0]
 
 
-def _as_graph(m) -> Graph:
-    """A Graph passes through; a dense nonnegative matrix is converted once."""
-    if isinstance(m, Graph):
-        return m
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 0):
-        raise InputError("matrix must be nonnegative")
-    return Graph(m)
-
-
 def _shift(row_sums: np.ndarray) -> np.ndarray:
     """SHIFT_FRACTION of each row's largest entry, for a (B, n) block of row sums.
 
@@ -134,18 +124,16 @@ def _power_iteration(product, shift, tol, x):
     )
 
 
-def dominant_eig(m: Graph | np.ndarray) -> SpectralTriple:
-    """Dominant eigenvalue and eigenvectors of an irreducible matrix.
+def dominant_eig(g: Graph) -> SpectralTriple:
+    """Dominant eigenvalue and eigenvectors of the irreducible matrix of g.
 
-    m is a Graph or a dense nonnegative matrix. Runs shifted power iteration
-    on m from the uniform start until every ratio (m u)_i / u_i lies within
-    DEFAULT_TOL / 4 of lambda_max; the reported width bounds the distance to
-    the spectral radius. The left vector v_max is computed the same way on
-    the transpose when first read. Raises ReducibleMatrixError if m is
-    reducible and NonConvergenceError if DEFAULT_MAX_ITER iterations do not
-    get there.
+    Runs shifted power iteration on A from the uniform start until every
+    ratio (A u)_i / u_i lies within DEFAULT_TOL / 4 of lambda_max; the
+    reported width bounds the distance to the spectral radius. The left
+    vector v_max is computed the same way on the transpose when first read.
+    Raises ReducibleMatrixError if g is not strongly connected and
+    NonConvergenceError if DEFAULT_MAX_ITER iterations do not get there.
     """
-    g = _as_graph(m)
     require_strongly_connected(g)
     # A quarter of DEFAULT_TOL, so both eigen-residuals also hold against
     # the single reported eigenvalue.
@@ -155,41 +143,34 @@ def dominant_eig(m: Graph | np.ndarray) -> SpectralTriple:
     return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]), graph=g)
 
 
-def spectral_radius(m: Graph | np.ndarray, start=None, s=None):
-    """Spectral radius of a nonnegative (possibly reducible) matrix.
+def spectral_radius(g: Graph, s, start=None) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral radii of the B matrices diag(s[k]) A, the effective matrices of B states.
 
-    The largest radius over the strongly connected components of m's
-    positive-weight support, each certified to DEFAULT_TOL relative by the
-    power iteration of dominant_eig; 0 when every component is a single node
-    without a self-loop. start (default uniform), a nonnegative length-n
-    vector, warm-starts each component from its entries. Returns (lambda,
-    vector): the vector holds each nontrivial component's eigenvector,
-    1-normalized, and zeros elsewhere; it is mainly useful for warm-starting
-    the next call.
-
-    s, a (B, n) block whose entries lie in [0, 1] and whose rows share one
-    zero set, asks instead for the radii of the B matrices diag(s[k]) m, the
-    effective matrices of B states (see effective_matrix). They share m's
-    components restricted to the nodes where s > 0, so one block power
-    iteration per component serves them all, every row started from start.
-    Returns a length-B array of radii and a (B, n) block of vectors.
+    s is a (B, n) block whose entries lie in [0, 1] and whose rows share one
+    zero set (see effective_matrix); a row of ones asks for the radius of A
+    itself, which may be reducible. The matrices share A's strongly
+    connected components restricted to the nodes where s > 0, so one block
+    power iteration per component serves them all, each row certified to
+    DEFAULT_TOL relative as in dominant_eig. A radius is the largest over
+    the components, and 0 when every component is a single node without a
+    self-loop. start (default uniform), a nonnegative length-n vector,
+    warm-starts every row of each component from its entries. Returns a
+    length-B array of radii and a (B, n) block of vectors: row k holds each
+    nontrivial component's eigenvector of diag(s[k]) A, 1-normalized, and
+    zeros elsewhere; it is mainly useful for warm-starting the next call.
     """
-    g = _as_graph(m)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (g.n,) or not np.all(start >= 0):
             raise InputError("start vector must be nonnegative and of length n")
-    if s is None:
-        block, live = np.ones((1, g.n)), None
-    else:
-        block = np.asarray(s, dtype=float)
-        if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != g.n:
-            raise InputError(f"state block has shape {block.shape}, expected (B, {g.n})")
-        if not np.all((block >= 0) & (block <= 1)):  # NaN fails too
-            raise InputError("state block entries must lie in [0, 1]")
-        live = block[0] > 0
-        if np.any((block > 0) != live):
-            raise InputError("the rows of a state block must share one zero set")
+    block = np.asarray(s, dtype=float)
+    if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != g.n:
+        raise InputError(f"state block has shape {block.shape}, expected (B, {g.n})")
+    if not np.all((block >= 0) & (block <= 1)):  # NaN fails too
+        raise InputError("state block entries must lie in [0, 1]")
+    live = block[0] > 0
+    if np.any((block > 0) != live):
+        raise InputError("the rows of a state block must share one zero set")
     radius, vec = np.zeros(len(block)), np.zeros(block.shape)
     for nodes, sub in g.irreducible_parts(live):
         scale = block[:, nodes]
@@ -200,8 +181,6 @@ def spectral_radius(m: Graph | np.ndarray, start=None, s=None):
         )
         np.maximum(radius, lam, out=radius)
         vec[:, nodes] = x
-    if s is None:
-        return float(radius[0]), vec[0]
     return radius, vec
 
 
@@ -221,7 +200,7 @@ def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     """diag(s) A: the contact matrix as seen by the currently susceptible.
 
     Each result is a new graph that pays its own SCC pass when its
-    irreducible_parts are read. spectral_radius(g, s=block) gives the radii
+    irreducible_parts are read. spectral_radius(g, block) gives the radii
     of a block of these matrices without building them, on g's cached parts.
     """
     s = np.asarray(s, dtype=float)

@@ -95,7 +95,7 @@ def effective_r_series(
     for first, end in zip(edges, edges[1:]):
         for lo in range(first, end, width):
             hi = min(lo + width, end)
-            lam, vecs = spectral_radius(g, start=vec, s=traj.s[lo:hi])
+            lam, vecs = spectral_radius(g, traj.s[lo:hi], start=vec)
             values[lo:hi] = beta * lam / gamma
             vec = vecs[-1]
     return traj.times.copy(), values

@@ -141,7 +141,7 @@ def test_criterion_4_endemic_matches_ode_on_random_graphs():
     worst = 0.0
     for n in sizes:
         g = random_sc_graph(rng, n=n, density=0.3, w_lo=0.1, w_hi=2.0)
-        lam = dominant_eig(g.adjacency).lambda_max
+        lam = dominant_eig(g).lambda_max
         r0 = rng.uniform(1.2, 5.0)
         beta, gamma = r0 / lam, 1.0
         res = sis_endemic(g, beta, gamma)
@@ -191,7 +191,7 @@ def test_criterion_6_sir_fixed_point_correctness():
     t0 = time.perf_counter()
     n = 40
     g = random_sc_graph(np.random.default_rng(7), n=n, density=0.2)
-    lam = dominant_eig(g.adjacency).lambda_max
+    lam = dominant_eig(g).lambda_max
     beta, gamma = 5.0 / lam, 1.0
     x0 = np.full(n, 0.05)
     r0 = np.full(n, 0.02)
@@ -256,7 +256,7 @@ def test_criterion_8_threshold_dynamics(g20, seeded_sir_run):
     # below threshold: the decay envelope from the left eigenvector average
     g = two_node()
     beta, gamma = 0.1, 1.0  # R0 = 0.4
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     traj = integrate(
         initial_state("SIS", np.array([0.5, 0.3])),
         ModelParams("SIS", beta, gamma),

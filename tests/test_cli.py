@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -724,6 +726,55 @@ def test_rt_out_and_out_naming_one_file_exit_2(pair_graph, tmp_path, capsys):
     assert code == 2
     assert "--rt-out and --out would write one file twice" in capsys.readouterr().err
     assert not same.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--rt-out"])
+def test_output_naming_the_trajectory_input_exits_2(pair_graph, tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    simulate = ["--graph", pair_graph, "--model", "SIR", "--beta", "1", "--gamma", "0.5",
+                "--seed-node", "1", "--t-end", "1", "--dt", "0.1", "--out", "tr.csv"]
+    assert main(["simulate", *simulate]) == 0
+    digest = hashlib.sha256(Path("tr.csv").read_bytes()).hexdigest()
+    outputs = {"--rt-out": "rt.csv", "--out": "report.json", flag: "./tr.csv"}
+    argv = ["--graph", pair_graph, "--beta", "1", "--gamma", "0.5", "--trajectory", "tr.csv",
+            *[token for item in outputs.items() for token in item]]
+    assert main(["threshold", *argv]) == 2
+    assert "would overwrite the --trajectory input: tr.csv" in capsys.readouterr().err
+    assert hashlib.sha256(Path("tr.csv").read_bytes()).hexdigest() == digest
+    assert sorted(os.listdir()) == ["pair.txt", "tr.csv"]
+
+
+def _limit_address_space():
+    # 3 GB: enough for Python and numpy, too little for the arrays asked for
+    # below. Without a limit an overcommitted allocation can succeed and
+    # then page in gigabytes.
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize(
+    "graph, argv",
+    [
+        ("3037000499 1 1\n1 3037000499 1\n", ["--model", "SIR", "--beta", "1", "--gamma", "0.5",
+                                                "--seed-node", "1", "--t-end", "1", "--dt", "0.1"]),
+        ("3037000499 1 1\n1 3037000499 1\n", ["--model", "SI", "--beta", "1",
+                                                "--x0-uniform", "0.1", "--t-end", "1", "--dt", "0.1"]),
+        ("1 2 1.0\n2 1 1.0\n", ["--model", "SIR", "--beta", "1", "--gamma", "0.5",
+                                 "--seed-node", "1", "--t-end", "1000000", "--dt", "0.001"]),
+    ],
+    ids=["huge-n-SIR", "huge-n-SI", "1e9-steps"],
+)
+def test_allocation_failure_exits_2(tmp_path, graph, argv):
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from netepi.cli import main; sys.exit(main(sys.argv[1:]))",
+         "simulate", "--graph", str(path), *argv, "--out", str(tmp_path / "tr.csv")],
+        capture_output=True, text=True, timeout=120, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("netepi: bad configuration: Unable to allocate")
+    assert not (tmp_path / "tr.csv").exists()
 
 
 @pytest.mark.parametrize(

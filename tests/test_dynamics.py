@@ -156,7 +156,7 @@ def test_si_converges_to_full_contagion():
 def test_sis_below_threshold_weighted_average_decays():
     g = two_node()  # lambda_max = 4
     beta, gamma = 0.1, 1.0  # R0 = 0.4
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     traj = integrate(
         initial_state("SIS", np.array([0.5, 0.3])),
         ModelParams("SIS", beta, gamma),
@@ -209,7 +209,7 @@ def test_large_step_raises():
 
 def test_growth_approx_projection_at_t0():
     g = two_node()
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     params = ModelParams("SI", 1.0)
     np.testing.assert_allclose(
         initial_growth_approx(g, params, 0.3 * trip.u_max, 0.0),

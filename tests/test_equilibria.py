@@ -79,7 +79,7 @@ def test_below_threshold_rejected():
 
 def test_bracket_monotonicity_and_agreement():
     g = random_sc_graph(np.random.default_rng(2), n=7)
-    trip = dominant_eig(g.adjacency)
+    trip = dominant_eig(g)
     gamma = 1.0
     beta = 2.5 / trip.lambda_max  # R0 = 2.5
     f = sis_fixed_point_map(g, beta, gamma)
@@ -148,7 +148,7 @@ def test_endemic_matches_long_sis_integration():
     rng = np.random.default_rng(42)
     for n in (5, 12):
         g = random_sc_graph(rng, n=n)
-        lam = dominant_eig(g.adjacency).lambda_max
+        lam = dominant_eig(g).lambda_max
         beta, gamma = 2.0 / lam, 1.0
         res = sis_endemic(g, beta, gamma)
         traj = integrate(
@@ -208,7 +208,7 @@ def test_expansion_high_rate_limit():
 
 def _sir_setup(n=6, seed=0, r0_frac=0.0, x0_frac=0.05, target_r0=4.0):
     g = random_sc_graph(np.random.default_rng(seed), n=n)
-    lam = dominant_eig(g.adjacency).lambda_max
+    lam = dominant_eig(g).lambda_max
     beta, gamma = target_r0 / lam, 1.0
     x0 = np.full(n, x0_frac)
     r0 = np.full(n, r0_frac)

@@ -22,15 +22,21 @@ def _dense_radius(a) -> float:
     return float(np.abs(np.linalg.eigvals(np.asarray(a))).max())
 
 
+def _radius(g, start=None):
+    """Radius and vector of g's matrix alone: spectral_radius on a one-row block of ones."""
+    lam, vec = spectral_radius(g, np.ones((1, g.n)), start=start)
+    return lam[0], vec[0]
+
+
 def test_symmetric_pair():
-    trip = dominant_eig(symmetric_pair().adjacency)
+    trip = dominant_eig(symmetric_pair())
     assert trip.lambda_max == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(trip.u_max, [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(trip.v_max, [0.5, 0.5], atol=1e-12)
 
 
 def test_complete_graph_regular():
-    trip = dominant_eig(complete_graph(4).adjacency)
+    trip = dominant_eig(complete_graph(4))
     assert trip.lambda_max == pytest.approx(3.0, abs=1e-11)
     np.testing.assert_allclose(trip.u_max, [0.25] * 4, atol=1e-11)
     np.testing.assert_allclose(trip.v_max, [0.25] * 4, atol=1e-11)
@@ -38,10 +44,11 @@ def test_complete_graph_regular():
 
 def test_two_node_hand_solve():
     # Hand eigen-solve: A u = 4 u for u = (1/3, 2/3), v'A = 4 v' for v = (2/3, 1/3).
-    a = two_node().adjacency
+    g = two_node()
+    a = g.adjacency
     np.testing.assert_allclose(a @ [1 / 3, 2 / 3], 4.0 * np.array([1 / 3, 2 / 3]))
     np.testing.assert_allclose(np.array([2 / 3, 1 / 3]) @ a, 4.0 * np.array([2 / 3, 1 / 3]))
-    trip = dominant_eig(a)
+    trip = dominant_eig(g)
     assert trip.lambda_max == pytest.approx(4.0, rel=1e-11)
     np.testing.assert_allclose(trip.u_max, [1 / 3, 2 / 3], atol=1e-11)
     np.testing.assert_allclose(trip.v_max, [2 / 3, 1 / 3], atol=1e-11)
@@ -51,7 +58,7 @@ def test_residual_invariants_and_normalization():
     for seed in range(5):
         g = random_sc_graph(np.random.default_rng(seed), n=8)
         a = g.adjacency
-        trip = dominant_eig(a)
+        trip = dominant_eig(g)
         lam = trip.lambda_max
         assert np.abs(a @ trip.u_max - lam * trip.u_max).max() <= TOL * lam
         assert np.abs(trip.v_max @ a - lam * trip.v_max).max() <= TOL * lam
@@ -63,7 +70,7 @@ def test_residual_invariants_and_normalization():
 def test_agrees_with_dense_eigensolver():
     for seed in range(10):
         g = random_sc_graph(np.random.default_rng(100 + seed), n=6)
-        lam = dominant_eig(g.adjacency).lambda_max
+        lam = dominant_eig(g).lambda_max
         rho = np.abs(np.linalg.eigvals(g.adjacency)).max()
         assert abs(lam - rho) <= 10 * TOL * rho
 
@@ -105,16 +112,16 @@ def test_monotone_in_state_scaling():
         g = random_sc_graph(rng, n=int(n))
         s = rng.uniform(0.2, 1.0, int(n))
         s_smaller = s * rng.uniform(0.2, 1.0, int(n))
-        lam_big, _ = spectral_radius(effective_matrix(s, g))
-        lam_small, _ = spectral_radius(effective_matrix(s_smaller, g))
+        lam_big, _ = _radius(effective_matrix(s, g))
+        lam_small, _ = _radius(effective_matrix(s_smaller, g))
         assert lam_small <= lam_big * (1 + 1e-10)
 
 
 def test_reducible_rejected_but_radius_still_works():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    g = Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ReducibleMatrixError):
-        dominant_eig(a)
-    lam, _ = spectral_radius(a)  # nilpotent: two single-node components
+        dominant_eig(g)
+    lam, _ = _radius(g)  # nilpotent: two single-node components
     assert lam == pytest.approx(0.0, abs=1e-9)
 
 
@@ -139,7 +146,7 @@ def test_radius_of_block_triangular_matrices(seed):
     perm = rng.permutation(a.shape[0])
     a = a[np.ix_(perm, perm)]
     rho = _dense_radius(a)
-    lam, vec = spectral_radius(Graph(a))
+    lam, vec = _radius(Graph(a))
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
     assert np.all(vec >= 0)
 
@@ -149,7 +156,7 @@ def test_radius_of_disjoint_cycles_with_equal_radius():
     a[:3, :3] = directed_ring(3, weight=2.0).adjacency
     a[3:, 3:] = directed_ring(4, weight=2.0).adjacency
     a[3, 0] = 5.0  # a one-way edge between the cycles keeps them separate
-    lam, vec = spectral_radius(a)
+    lam, vec = _radius(Graph(a))
     assert abs(lam - 2.0) <= 2 * DEFAULT_TOL * 2.0
     np.testing.assert_allclose(vec, [1 / 3] * 3 + [1 / 4] * 4, rtol=1e-12)
 
@@ -161,7 +168,7 @@ def test_radius_with_zeros_in_the_state(seed):
     s = rng.uniform(0.0, 1.0, 30)
     s[rng.choice(30, size=1 + seed * 3, replace=False)] = 0.0
     rho = _dense_radius(s[:, None] * g.adjacency)
-    lam, _ = spectral_radius(effective_matrix(s, g))
+    lam, _ = _radius(effective_matrix(s, g))
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
 
 
@@ -190,17 +197,17 @@ def test_radius_of_nilpotent_dags_is_exactly_zero(n):
     rng = np.random.default_rng(n)
     a = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)  # every node reaches only higher ones
     perm = rng.permutation(n)
-    lam, vec = spectral_radius(a[np.ix_(perm, perm)])
+    lam, vec = _radius(Graph(a[np.ix_(perm, perm)]))
     assert lam == 0.0
     assert not vec.any()
 
 
 def test_radius_boundary_states():
     g = two_node()
-    lam, _ = spectral_radius(effective_matrix(np.zeros(2), g))
+    lam, _ = _radius(effective_matrix(np.zeros(2), g))
     assert lam == pytest.approx(0.0, abs=1e-12)
     # Zeroing one row keeps a well-defined spectral radius.
-    lam, _ = spectral_radius(effective_matrix(np.array([1.0, 0.0]), g))
+    lam, _ = _radius(effective_matrix(np.array([1.0, 0.0]), g))
     assert lam == pytest.approx(0.0, abs=1e-9)
 
 
@@ -223,6 +230,6 @@ def test_warm_start_matches_cold_start():
     g = random_sc_graph(np.random.default_rng(3), n=10)
     s = np.random.default_rng(4).uniform(0.3, 1.0, 10)
     m = effective_matrix(s, g)
-    lam_cold, vec = spectral_radius(m)
-    lam_warm, _ = spectral_radius(m.adjacency * 0.999, start=vec)
+    lam_cold, vec = _radius(m)
+    lam_warm, _ = _radius(Graph(m.adjacency * 0.999), start=vec)
     assert lam_warm == pytest.approx(0.999 * lam_cold, rel=1e-10)
