@@ -41,11 +41,12 @@ print()
 beta = 1.0
 params = ModelParams("SI", beta)
 x0 = np.full(g.n, 1e-4)
-traj = integrate(initial_state("SI", x0), params, g, t_end=30.0, dt=0.002)
+dt = 0.002
+traj = integrate(initial_state("SI", x0), params, g, t_end=30.0, dt=dt)
 
 print("=== early growth: one-mode approximation vs integration ===")
 for t in (1.0, 2.0, 3.0):
-    k = int(round(t / traj.step_size))
+    k = int(round(t / dt))
     approx = initial_growth_approx(g, params, x0, t)
     actual = traj.x[k]
     print(f"t = {t:3.1f}  approx {np.round(approx, 6)}")

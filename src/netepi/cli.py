@@ -27,6 +27,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -143,10 +144,40 @@ def _parse_with_config(command: str, path: str, flags: list[str]) -> argparse.Na
     return args
 
 
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
 def _require(args: argparse.Namespace, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise InputError(f"--{name.replace('_', '-')} is required for {args.command}")
+            raise InputError(f"{_flag(name)} is required for {args.command}")
+
+
+def _check_outputs(args: argparse.Namespace, outputs: list[tuple[str, str | None]]) -> None:
+    """InputError unless each output names a file no other output and no input names.
+
+    outputs are (flag, path) pairs, path None for stdout. Paths compare after
+    os.path.realpath, so ./a.csv and a.csv are one file. Call this before
+    reading any input, so a refused run changes no file.
+    """
+    inputs = {}
+    for name in ("config", "graph", "x0_file", "r0_file", "trajectory"):
+        path = getattr(args, name, None)
+        if path is not None:
+            inputs.setdefault(os.path.realpath(path), (_flag(name), path))
+    written = {}
+    for flag, path in outputs:
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in inputs:
+            source, given = inputs[key]
+            raise InputError(f"{flag} would overwrite the {source} input: {given}")
+        if key in written:
+            names = flag if written[key] == flag else f"{written[key]} and {flag}"
+            raise InputError(f"{names} would write one file twice: {path}")
+        written[key] = flag
 
 
 def _positive(value, name):
@@ -193,9 +224,14 @@ def _read_graph(path: str) -> Graph:
 
 def _read_vector(path: str, n: int, name: str) -> np.ndarray:
     try:
-        vec = np.loadtxt(path, comments="#", ndmin=1)
+        with warnings.catch_warnings():
+            # An empty file is reported below as an InputError, not a warning.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            vec = np.loadtxt(path, comments="#", ndmin=1)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read {name} file: {e}") from e
+    if vec.ndim != 1:
+        raise InputError(f"{name} file holds an array of shape {vec.shape}, not one value per line")
     if vec.shape != (n,):
         raise InputError(f"{name} file holds {vec.shape[0]} values, graph has {n} nodes")
     if not np.all(np.isfinite(vec)):
@@ -240,11 +276,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "graph", "model", "beta", "t_end")
     kind = ModelKind(args.model)
     beta = _positive(args.beta, "beta")
-    g = _read_graph(args.graph)
-    x0, r0 = _initial_vectors(args, g.n)
-    if kind is not ModelKind.SIR and args.r0_file is not None:
-        raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
-
     if kind is ModelKind.SI:
         if args.gamma is not None:
             raise InputError("SI has no --gamma")
@@ -252,8 +283,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         gammas = _parse_gammas(args)
     paths = _output_paths(args.out, gammas)
-    if len(set(paths)) != len(paths):
-        raise InputError(f"--gamma {args.gamma} would write one file twice: {paths}")
+    flag = "--out" if len(paths) == 1 else f"--out for --gamma {args.gamma}"
+    _check_outputs(args, [(flag, path) for path in paths])
+    g = _read_graph(args.graph)
+    x0, r0 = _initial_vectors(args, g.n)
+    if kind is not ModelKind.SIR and args.r0_file is not None:
+        raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
 
     state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
@@ -308,6 +343,7 @@ def _gamma_labels(gammas: list[float]) -> list[str]:
 
 def _cmd_endemic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
+    _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     result = equilibria.sis_endemic(
         g,
@@ -323,6 +359,7 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
+    _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     # Before the length-n start vectors, so a reducible graph of huge n exits 3.
     require_strongly_connected(g)
@@ -351,13 +388,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise InputError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
         raise InputError("--trajectory needs --rt-out for the R(t) CSV")
-    if args.trajectory is not None:
-        trajectory, rt_out = os.path.realpath(args.trajectory), os.path.realpath(args.rt_out)
-        out = None if args.out is None else os.path.realpath(args.out)
-        if rt_out == out:
-            raise InputError(f"--rt-out and --out would write one file twice: {args.out}")
-        if trajectory in (rt_out, out):
-            raise InputError(f"an output would overwrite the --trajectory input: {args.trajectory}")
+    _check_outputs(args, [("--rt-out", args.rt_out), ("--out", args.out)])
     g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)
@@ -379,9 +410,21 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The flags of `scalar` that each model does not read.
+_SCALAR_UNUSED = {
+    ModelKind.SI: ("gamma", "s0", "r0"),
+    ModelKind.SIS: ("s0", "r0"),
+    ModelKind.SIR: ("x0", "t_end", "dt"),
+}
+
+
 def _cmd_scalar(args: argparse.Namespace) -> int:
     _require(args, "model", "beta")
     kind = ModelKind(args.model)
+    unused = [_flag(name) for name in _SCALAR_UNUSED[kind] if getattr(args, name) is not None]
+    if unused:
+        raise InputError(f"scalar {kind.value} does not use {', '.join(unused)}")
+    _check_outputs(args, [("--out", args.out)])
     beta = _positive(args.beta, "beta")
     gamma = None if kind is ModelKind.SI else _single_gamma(args)
 

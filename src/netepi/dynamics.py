@@ -107,8 +107,6 @@ class Trajectory:
     s: np.ndarray  # shape (len(times), n)
     x: np.ndarray
     r: np.ndarray
-    params: ModelParams | None
-    step_size: float
 
     def __post_init__(self):
         for arr in (self.times, self.s, self.x, self.r):
@@ -289,24 +287,16 @@ def integrate(
             times[count], records[count] = k * dt, y
             count += 1
 
-    trajectories = _build_trajectories(times, records, batch, dt)
+    trajectories = _build_trajectories(kind, times, records)
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
 
 
-def _build_trajectories(times, block, batch, dt) -> list[Trajectory]:
+def _build_trajectories(kind: ModelKind, times, block) -> list[Trajectory]:
     # block is (rows, B, n), or (rows, 3, B, n) for SIR
-    trajectories = []
-    for j, params in enumerate(batch):
-        if params.kind is ModelKind.SIR:
-            s, x, r = block[:, 0, j], block[:, 1, j], block[:, 2, j]
-        else:
-            x = block[:, j]
-            s = 1.0 - x
-            r = np.zeros_like(x)
-        trajectories.append(
-            Trajectory(times=times, s=s, x=x, r=r, params=params, step_size=dt)
-        )
-    return trajectories
+    if kind is ModelKind.SIR:
+        s, x, r = block.transpose(1, 2, 0, 3)  # each (B, rows, n)
+        return [Trajectory(times, *run) for run in zip(s, x, r)]
+    return [Trajectory(times, 1.0 - x, x, np.zeros_like(x)) for x in block.transpose(1, 0, 2)]
 
 
 def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.ndarray:
@@ -372,7 +362,7 @@ def write_trajectory_csv(traj: Trajectory, fp) -> None:
 
 
 def read_trajectory_csv(fp) -> Trajectory:
-    """Read a trajectory written by write_trajectory_csv; its params are None.
+    """Read a trajectory written by write_trajectory_csv.
 
     Raises InputError unless the file holds at least one row, every value
     is finite and the times increase strictly.
@@ -398,12 +388,9 @@ def read_trajectory_csv(fp) -> Trajectory:
     times = data[:, 0]
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise InputError("trajectory times must be strictly increasing")
-    dt = float(np.min(np.diff(times))) if len(times) > 1 else 0.0
     return Trajectory(
         times=times,
         s=data[:, 1 : n + 1],
         x=data[:, n + 1 : 2 * n + 1],
         r=data[:, 2 * n + 1 :],
-        params=None,
-        step_size=dt,
     )

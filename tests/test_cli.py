@@ -744,6 +744,73 @@ def test_output_naming_the_trajectory_input_exits_2(pair_graph, tmp_path, monkey
     assert sorted(os.listdir()) == ["pair.txt", "tr.csv"]
 
 
+
+@pytest.mark.parametrize(
+    "argv, flag, target",
+    [
+        (["endemic", "--graph", "g.txt", "--beta", "2", "--gamma", "1", "--out", "g.txt"],
+         "--graph", "g.txt"),
+        (["simulate", "--graph", "g.txt", "--model", "SIS", "--beta", "1", "--gamma", "1",
+          "--x0-file", "x0.txt", "--t-end", "1", "--dt", "0.1", "--out", "x0.txt"],
+         "--x0-file", "x0.txt"),
+        (["endemic", "--config", "c.json", "--beta", "2", "--gamma", "1", "--out", "./c.json"],
+         "--config", "c.json"),
+        (["simulate", "--graph", "g.txt", "--model", "SIS", "--beta", "1", "--gamma", "1,2",
+          "--x0-file", "x0_gamma2.txt", "--t-end", "1", "--dt", "0.1", "--out", "x0.txt"],
+         "--x0-file", "x0_gamma2.txt"),
+    ],
+    ids=["endemic-graph", "simulate-x0-file", "endemic-config", "sweep-file-x0-file"],
+)
+def test_output_naming_an_input_exits_2(tmp_path, monkeypatch, capsys, argv, flag, target):
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text("1 2 1.0\n2 1 1.0\n")
+    Path(target).write_text('{"graph": "g.txt"}\n' if flag == "--config" else "0.1\n0.1\n")
+    digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in os.listdir()}
+    assert main(argv) == 2
+    assert f"would overwrite the {flag} input: {target}" in capsys.readouterr().err
+    assert {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in os.listdir()} == digests
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["--model", "SI", "--x0", "0.1", "--t-end", "1", "--gamma", "5"], "--gamma"),
+        (["--model", "SIS", "--gamma", "0.5", "--x0", "0.1", "--t-end", "1",
+          "--s0", "0.3", "--r0", "0.2"], "--s0, --r0"),
+        (["--model", "SIR", "--gamma", "0.5", "--s0", "0.4", "--x0", "0.5", "--t-end", "3"],
+         "--x0, --t-end"),
+    ],
+    ids=["SI", "SIS", "SIR"],
+)
+def test_scalar_rejects_flags_its_model_does_not_use(capsys, argv, unused):
+    assert main(["scalar", "--beta", "2", *argv]) == 2
+    captured = capsys.readouterr()
+    model = argv[1]
+    assert f"bad configuration: scalar {model} does not use {unused}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.1 0.2\n0.3 0.4\n", "x0 file holds an array of shape (2, 2), not one value per line"),
+        ("", "x0 file holds 0 values, graph has 2 nodes"),
+        ("# no values\n", "x0 file holds 0 values, graph has 2 nodes"),
+    ],
+    ids=["matrix", "empty", "comment-only"],
+)
+def test_bad_vector_file_gives_one_error_line(pair_graph, tmp_path, text, message):
+    x0 = tmp_path / "x0.txt"
+    x0.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "netepi.cli", "simulate", "--graph", pair_graph, "--model", "SI",
+         "--beta", "1", "--x0-file", str(x0), "--t-end", "1", "--dt", "0.1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"netepi: bad configuration: {message}\n"
+    assert proc.stdout == ""
+
 def _limit_address_space():
     # 3 GB: enough for Python and numpy, too little for the arrays asked for
     # below. Without a limit an overcommitted allocation can succeed and

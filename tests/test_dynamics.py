@@ -343,7 +343,6 @@ def test_batched_runs_equal_single_runs():
         assert isinstance(runs, list) and len(runs) == len(batch)
         for params, run in zip(batch, runs):
             alone = integrate(state0, params, g, t_end=3.0, dt=dt, record_every=9)
-            assert run.params is params and run.step_size == alone.step_size
             for name in ("times", "s", "x", "r"):
                 assert np.array_equal(getattr(run, name), getattr(alone, name))
 
@@ -439,7 +438,7 @@ def test_trajectory_csv_matches_per_value_formatting():
     )
     odd = np.array([[0.0, -0.0], [5e-324, 1.0 / 3.0], [np.nextafter(1.0, 0.0), 1.0]])
     edge_cases = Trajectory(
-        times=np.array([0.0, 1e-300, 0.1]), s=odd, x=odd[::-1].copy(), r=np.zeros((3, 2)), params=None, step_size=0.1
+        times=np.array([0.0, 1e-300, 0.1]), s=odd, x=odd[::-1].copy(), r=np.zeros((3, 2))
     )
     for t in (traj, edge_cases):
         lines = ["t,s_1,s_2,x_1,x_2,r_1,r_2"]
@@ -459,8 +458,6 @@ def test_trajectory_csv_is_written_one_row_at_a_time(tmp_path):
         s=rng.random((rows, n)),
         x=rng.random((rows, n)),
         r=rng.random((rows, n)),
-        params=None,
-        step_size=0.1,
     )
     path = tmp_path / "traj.csv"
     with open(path, "w") as fp:

@@ -107,7 +107,7 @@ def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
     s[2:5, 0] = 0.0
     s[5:, [0, 3]] = 0.0  # three zero sets: none, {0}, {0, 3}
     x = 1.0 - s
-    traj = Trajectory(np.arange(8.0), s, x, np.zeros_like(s), None, 1.0)
+    traj = Trajectory(np.arange(8.0), s, x, np.zeros_like(s))
     effective_r_series(traj, g, 1.0, 1.0)
     assert len(scc_passes) == 3
 
@@ -115,7 +115,7 @@ def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
 def test_connectivity_check_and_positive_series_share_one_scc_pass(scc_passes):
     g = random_sc_graph(np.random.default_rng(43), n=12)
     s = np.random.default_rng(44).uniform(0.5, 1.0, (6, 12))
-    traj = Trajectory(np.arange(6.0), s, 1.0 - s, np.zeros_like(s), None, 1.0)
+    traj = Trajectory(np.arange(6.0), s, 1.0 - s, np.zeros_like(s))
     assert is_strongly_connected(g)
     effective_r_series(traj, g, 1.0, 1.0)
     assert len(scc_passes) == 1
@@ -126,7 +126,7 @@ def test_block_series_is_certified_across_a_zero_set_change(monkeypatch, width, 
     g = random_sc_graph(np.random.default_rng(61), n=15, density=0.2)
     s = np.random.default_rng(62).uniform(0.2, 1.0, (9, 15))
     s[5:, [2, 7]] = 0.0  # the zero set changes between samples 4 and 5
-    traj = Trajectory(np.arange(9.0), s, 1.0 - s, np.zeros_like(s), None, 1.0)
+    traj = Trajectory(np.arange(9.0), s, 1.0 - s, np.zeros_like(s))
     # Width 2 would put samples 4 and 5 in one block, one block all nine.
     entries = 10**9 if width is None else width * g.nnz
     monkeypatch.setattr(threshold, "BLOCK_ENTRIES", entries)
