@@ -12,9 +12,6 @@ pipelines can branch on them:
     3  graph errors (parse failures, not strongly connected)
     4  threshold precondition failures (e.g. endemic below threshold)
     5  numerical failures (non-convergence, integrator invariant violation)
-
-The NETEPI_LOG environment variable (debug|info|warning|error) controls
-diagnostic verbosity on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -42,8 +38,6 @@ from .errors import (
 )
 from .graph import Graph, graph_from_rows, load_graph, require_strongly_connected
 from .scalar import ModelKind
-
-logger = logging.getLogger("netepi")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,20 +151,20 @@ def _require(args: argparse.Namespace, *names):
 def _check_outputs(args: argparse.Namespace, outputs: list[tuple[str, str | None]]) -> None:
     """InputError unless each output names a file no other output and no input names.
 
-    outputs are (flag, path) pairs, path None for stdout. Paths compare after
-    os.path.realpath, so ./a.csv and a.csv are one file. Call this before
-    reading any input, so a refused run changes no file.
+    outputs are (flag, path) pairs, path None for stdout. Paths compare by
+    _file_key. Call this before reading any input, so a refused run changes
+    no file.
     """
     inputs = {}
     for name in ("config", "graph", "x0_file", "r0_file", "trajectory"):
         path = getattr(args, name, None)
         if path is not None:
-            inputs.setdefault(os.path.realpath(path), (_flag(name), path))
+            inputs.setdefault(_file_key(path), (_flag(name), path))
     written = {}
     for flag, path in outputs:
         if path is None:
             continue
-        key = os.path.realpath(path)
+        key = _file_key(path)
         if key in inputs:
             source, given = inputs[key]
             raise InputError(f"{flag} would overwrite the {source} input: {given}")
@@ -178,6 +172,19 @@ def _check_outputs(args: argparse.Namespace, outputs: list[tuple[str, str | None
             names = flag if written[key] == flag else f"{written[key]} and {flag}"
             raise InputError(f"{names} would write one file twice: {path}")
         written[key] = flag
+
+
+def _file_key(path: str):
+    """The identity of the file at path: device and inode if it exists, else its realpath.
+
+    Hard links of one file share the first, as in os.path.samefile; the
+    second makes ./a.csv and a.csv one file before either exists.
+    """
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def _positive(value, name):
@@ -239,13 +246,20 @@ def _read_vector(path: str, n: int, name: str) -> np.ndarray:
     return vec
 
 
-def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve the initial infection (uniform | seed node | file) and optional r0 file."""
+def _check_initial(args: argparse.Namespace) -> None:
+    """InputError unless exactly one initial infection is given, a uniform one in [0, 1]."""
     if sum(v is not None for v in (args.x0_uniform, args.seed_node, args.x0_file)) != 1:
         raise InputError("give exactly one of --x0-uniform, --seed-node, --x0-file")
+    if args.x0_uniform is not None and not 0 <= args.x0_uniform <= 1:
+        raise InputError("--x0-uniform must lie in [0, 1]")
+
+
+def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve the initial infection (uniform | seed node | file) and optional r0 file.
+
+    Call _check_initial first.
+    """
     if args.x0_uniform is not None:
-        if not 0 <= args.x0_uniform <= 1:
-            raise InputError("--x0-uniform must lie in [0, 1]")
         x0 = np.full(n, args.x0_uniform)
     elif args.seed_node is not None:
         if not 1 <= args.seed_node <= n:
@@ -282,19 +296,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         gammas = [None]
     else:
         gammas = _parse_gammas(args)
+    if kind is not ModelKind.SIR and args.r0_file is not None:
+        raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
+    params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
+    dt = None if args.dt is None else _positive(args.dt, "dt")
+    steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
+    t_end = _positive(args.t_end, "t_end")
+    for step in dict.fromkeys(steps):
+        dynamics.step_count(t_end, step)
+    if args.record_every < 1:
+        raise InputError("--record-every must be >= 1")
+    _check_initial(args)
     paths = _output_paths(args.out, gammas)
     flag = "--out" if len(paths) == 1 else f"--out for --gamma {args.gamma}"
     _check_outputs(args, [(flag, path) for path in paths])
     g = _read_graph(args.graph)
     x0, r0 = _initial_vectors(args, g.n)
-    if kind is not ModelKind.SIR and args.r0_file is not None:
-        raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
 
     state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
-    params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
-    dt = None if args.dt is None else _positive(args.dt, "dt")
-    steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
-    t_end = _positive(args.t_end, "t_end")
     trajectories = {}
     # The runs that share a step size integrate together, one row each.
     for dt in dict.fromkeys(steps):
@@ -311,8 +330,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for i, path in enumerate(paths):
         with _output(path) as fp:
             dynamics.write_trajectory_csv(trajectories[i], fp)
-        if len(paths) > 1:
-            logger.info("wrote %s", path)
     return EXIT_OK
 
 
@@ -343,15 +360,12 @@ def _gamma_labels(gammas: list[float]) -> list[str]:
 
 def _cmd_endemic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
+    beta = _positive(args.beta, "beta")
+    gamma = _single_gamma(args)
+    tol = _positive(args.tol, "tol")
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
-    result = equilibria.sis_endemic(
-        g,
-        _positive(args.beta, "beta"),
-        _single_gamma(args),
-        tol=_positive(args.tol, "tol"),
-        bracket=args.bracket,
-    )
+    result = equilibria.sis_endemic(g, beta, gamma, tol=tol, bracket=args.bracket)
     with _output(args.out) as fp:
         fp.write(_json_text(result))
     return EXIT_OK
@@ -359,6 +373,10 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
+    beta = _positive(args.beta, "beta")
+    gamma = _single_gamma(args)
+    tol = _positive(args.tol, "tol")
+    _check_initial(args)
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     # Before the length-n start vectors, so a reducible graph of huge n exits 3.
@@ -368,14 +386,7 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
     if np.any(s0 < 0):
         raise InputError("x0 + r0 exceeds 1 at some node")
     result = equilibria.sir_asymptotic(
-        g,
-        _positive(args.beta, "beta"),
-        _single_gamma(args),
-        s0=s0,
-        x0=x0,
-        r0=r0,
-        tol=_positive(args.tol, "tol"),
-        start=args.start,
+        g, beta, gamma, s0=s0, x0=x0, r0=r0, tol=tol, start=args.start
     )
     with _output(args.out) as fp:
         fp.write(_json_text(result))
@@ -388,10 +399,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise InputError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
         raise InputError("--trajectory needs --rt-out for the R(t) CSV")
-    _check_outputs(args, [("--rt-out", args.rt_out), ("--out", args.out)])
-    g = _read_graph(args.graph)
     beta = _positive(args.beta, "beta")
     gamma = _single_gamma(args)
+    _check_outputs(args, [("--rt-out", args.rt_out), ("--out", args.out)])
+    g = _read_graph(args.graph)
     report = threshold.reproduction_number(g, beta, gamma)
 
     if args.trajectory is not None:
@@ -487,16 +498,7 @@ def run(args: argparse.Namespace, flags: list[str]) -> int:
         return EXIT_CONFIG
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("NETEPI_LOG", "warning").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     return run(args, argv[argv.index(args.command) + 1 :])

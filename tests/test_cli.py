@@ -772,6 +772,63 @@ def test_output_naming_an_input_exits_2(tmp_path, monkeypatch, capsys, argv, fla
 
 
 @pytest.mark.parametrize(
+    "linked, argv, message",
+    [
+        ("g.txt", ["endemic", "--graph", "g.txt", "--beta", "2", "--gamma", "1", "--out", "h.txt"],
+         "--out would overwrite the --graph input: g.txt"),
+        ("rt.csv", ["threshold", "--graph", "g.txt", "--beta", "1", "--gamma", "1",
+                    "--trajectory", "tr.csv", "--rt-out", "rt.csv", "--out", "h.txt"],
+         "--rt-out and --out would write one file twice: h.txt"),
+    ],
+    ids=["output-links-input", "output-links-output"],
+)
+def test_output_hard_linked_to_another_file_exits_2(
+    tmp_path, monkeypatch, capsys, linked, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text("1 2 1.0\n2 1 1.0\n")
+    Path("rt.csv").write_text("t,R_t\n")
+    os.link(linked, "h.txt")
+    digests = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in os.listdir()}
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in os.listdir()} == digests
+
+
+SIMULATE_SIS = ["simulate", "--graph", "missing.txt", "--model", "SIS", "--beta", "1",
+                "--gamma", "1", "--x0-uniform", "0.1", "--t-end", "1", "--dt", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["endemic", "--graph", "missing.txt", "--beta", "-1", "--gamma", "1"],
+         "beta must be positive and finite"),
+        (["threshold", "--graph", "missing.txt", "--beta", "1", "--gamma", "0"],
+         "gamma must be positive and finite"),
+        (["asymptotic", "--graph", "missing.txt", "--beta", "1", "--gamma", "1",
+          "--x0-uniform", "0.1", "--tol", "0"], "tol must be positive and finite"),
+        (["asymptotic", "--graph", "missing.txt", "--beta", "1", "--gamma", "1"],
+         "give exactly one of --x0-uniform, --seed-node, --x0-file"),
+        ([*SIMULATE_SIS, "--dt", "0"], "dt must be positive and finite"),
+        ([*SIMULATE_SIS, "--t-end", "1.05"],
+         "t_end = 1.05 is not a whole number of steps dt = 0.1"),
+        ([*SIMULATE_SIS, "--record-every", "0"], "--record-every must be >= 1"),
+        ([*SIMULATE_SIS, "--x0-uniform", "1.5"], "--x0-uniform must lie in [0, 1]"),
+        ([*SIMULATE_SIS, "--r0-file", "missing.txt"], "--r0-file only applies to SIR, not SIS"),
+    ],
+    ids=["endemic-beta", "threshold-gamma", "asymptotic-tol", "asymptotic-x0", "simulate-dt",
+         "simulate-t-end", "simulate-record-every", "simulate-x0-uniform", "simulate-r0-file"],
+)
+def test_flags_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"netepi: bad configuration: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, unused",
     [
         (["--model", "SI", "--x0", "0.1", "--t-end", "1", "--gamma", "5"], "--gamma"),
@@ -903,9 +960,26 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
         ).stdout
         return set(json.loads(out))
 
-    extra = loaded("import netepi.cli") - loaded("import numpy")
+    cli = loaded("import netepi.cli")
+    assert "logging" not in cli
+    extra = cli - loaded("import numpy")
     foreign = [
         m for m in extra
         if m.split(".")[0] != "netepi" and m.split(".")[0] not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_successful_sweep_writes_nothing_to_stderr(g20_file, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "netepi.cli", "simulate", "--graph", g20_file, "--model", "SIS",
+         "--beta", "1", "--gamma", "0.5,1", "--x0-uniform", "0.1", "--t-end", "1", "--dt", "0.1",
+         "--out", "sweep.csv"],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC), "NETEPI_LOG": "info"},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "" and proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.glob("sweep_*")) == [
+        "sweep_gamma0.5.csv", "sweep_gamma1.csv"
+    ]

@@ -1,6 +1,7 @@
-"""Each demo script runs to completion against the package in src/."""
+"""The demo scripts and the README's quick start run to completion against src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,15 @@ def test_demo_exits_0(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs_and_prints_what_it_says():
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # The first line prints R0, which the block's comment quotes in full.
+    assert f"# {proc.stdout.splitlines()[0]}:" in block
