@@ -187,9 +187,9 @@ def _file_key(path: str):
     return st.st_dev, st.st_ino
 
 
-def _positive(value, name):
+def _positive(value, flag):
     if value is None or not (math.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be positive and finite")
+        raise InputError(f"{flag} must be positive and finite")
     return float(value)
 
 
@@ -201,7 +201,7 @@ def _parse_gammas(args: argparse.Namespace) -> list[float]:
     except ValueError:
         raise InputError(f"bad --gamma value {args.gamma!r}") from None
     for gv in gammas:
-        _positive(gv, "gamma")
+        _positive(gv, "--gamma")
     return gammas
 
 
@@ -289,7 +289,7 @@ def _json_text(result) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, "graph", "model", "beta", "t_end")
     kind = ModelKind(args.model)
-    beta = _positive(args.beta, "beta")
+    beta = _positive(args.beta, "--beta")
     if kind is ModelKind.SI:
         if args.gamma is not None:
             raise InputError("SI has no --gamma")
@@ -299,11 +299,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if kind is not ModelKind.SIR and args.r0_file is not None:
         raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
-    dt = None if args.dt is None else _positive(args.dt, "dt")
+    dt = None if args.dt is None else _positive(args.dt, "--dt")
     steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
-    t_end = _positive(args.t_end, "t_end")
+    t_end = _positive(args.t_end, "--t-end")
     for step in dict.fromkeys(steps):
-        dynamics.step_count(t_end, step)
+        dynamics.step_count(t_end, step, ("--t-end", "--dt"))
     if args.record_every < 1:
         raise InputError("--record-every must be >= 1")
     _check_initial(args)
@@ -360,9 +360,9 @@ def _gamma_labels(gammas: list[float]) -> list[str]:
 
 def _cmd_endemic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
-    beta = _positive(args.beta, "beta")
+    beta = _positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(args.tol, "tol")
+    tol = _positive(args.tol, "--tol")
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     result = equilibria.sis_endemic(g, beta, gamma, tol=tol, bracket=args.bracket)
@@ -373,9 +373,9 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
     _require(args, "graph", "beta", "gamma")
-    beta = _positive(args.beta, "beta")
+    beta = _positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(args.tol, "tol")
+    tol = _positive(args.tol, "--tol")
     _check_initial(args)
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
@@ -399,7 +399,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise InputError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
         raise InputError("--trajectory needs --rt-out for the R(t) CSV")
-    beta = _positive(args.beta, "beta")
+    beta = _positive(args.beta, "--beta")
     gamma = _single_gamma(args)
     _check_outputs(args, [("--rt-out", args.rt_out), ("--out", args.out)])
     g = _read_graph(args.graph)
@@ -436,7 +436,7 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
     if unused:
         raise InputError(f"scalar {kind.value} does not use {', '.join(unused)}")
     _check_outputs(args, [("--out", args.out)])
-    beta = _positive(args.beta, "beta")
+    beta = _positive(args.beta, "--beta")
     gamma = None if kind is ModelKind.SI else _single_gamma(args)
 
     if kind is ModelKind.SIR:
@@ -453,9 +453,9 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _require(args, "x0", "t_end")
-    t_end = _positive(args.t_end, "t_end")
-    dt = _positive(args.dt, "dt") if args.dt is not None else t_end / 200.0
-    grid = np.arange(dynamics.step_count(t_end, dt) + 1) * dt
+    t_end = _positive(args.t_end, "--t-end")
+    dt = _positive(args.dt, "--dt") if args.dt is not None else t_end / 200.0
+    grid = np.arange(dynamics.step_count(t_end, dt, ("--t-end", "--dt")) + 1) * dt
     if kind is ModelKind.SI:
         values = scalar.si_closed_form(args.x0, beta, grid)
     else:

@@ -172,18 +172,22 @@ def default_step(params: ModelParams) -> float:
     return 1e-3 / max(rates)
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Steps dt in t_end; InputError unless whole within STEP_COUNT_RTOL and at most MAX_STEPS."""
+def step_count(t_end: float, dt: float, names=("t_end", "dt")) -> int:
+    """Steps dt in t_end; InputError unless whole within STEP_COUNT_RTOL and at most MAX_STEPS.
+
+    The messages call t_end and dt by names, such as the flags that gave them.
+    """
+    t, d = names
     if dt <= 0:
-        raise InputError("dt must be positive")
+        raise InputError(f"{d} must be positive")
     if t_end < dt:
-        raise InputError("t_end must be at least dt")
+        raise InputError(f"{t} must be at least {d}")
     steps = t_end / dt
     if not steps <= MAX_STEPS:
-        raise InputError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+        raise InputError(f"{t} / {d} = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
     n_steps = round(steps)
     if abs(steps - n_steps) > STEP_COUNT_RTOL * n_steps:
-        raise InputError(f"t_end = {t_end:g} is not a whole number of steps dt = {dt:g}")
+        raise InputError(f"{t} = {t_end:g} is not a whole number of steps {d} = {dt:g}")
     return n_steps
 
 
@@ -365,7 +369,9 @@ def read_trajectory_csv(fp) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
     Raises InputError unless the file holds at least one row, every value
-    is finite and the times increase strictly.
+    is finite, the times increase strictly and every row is a state:
+    entries in [0, 1] (integrate writes no other) and s + x + r within
+    STATE_TOL of 1 at each node. The message names the first bad row.
     """
     try:
         header = fp.readline()  # UnicodeDecodeError is a ValueError
@@ -388,9 +394,12 @@ def read_trajectory_csv(fp) -> Trajectory:
     times = data[:, 0]
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise InputError("trajectory times must be strictly increasing")
-    return Trajectory(
-        times=times,
-        s=data[:, 1 : n + 1],
-        x=data[:, n + 1 : 2 * n + 1],
-        r=data[:, 2 * n + 1 :],
-    )
+    s, x, r = data[:, 1 : n + 1], data[:, n + 1 : 2 * n + 1], data[:, 2 * n + 1 :]
+    for bad, what in (
+        (np.any((data[:, 1:] < 0) | (data[:, 1:] > 1), axis=1), "an entry outside [0, 1]"),
+        (np.any(np.abs(s + x + r - 1.0) > STATE_TOL, axis=1), "s + x + r away from 1"),
+    ):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InputError(f"trajectory CSV row {k + 1} (t = {times[k]:g}) has {what}")
+    return Trajectory(times=times, s=s, x=x, r=r)

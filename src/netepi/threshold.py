@@ -20,19 +20,6 @@ from .errors import InputError
 from .graph import Graph
 from .spectral import dominant_eig, spectral_radius
 
-# Samples per block of the R(t) series: a block's product touches about
-# BLOCK_ENTRIES edge entries. A wide block pays numpy's per-call overhead
-# once for many samples, which is most of the cost at small n; at large n a
-# block row costs as much as a single product, and the samples of a block
-# all start from the same vector, which costs extra iterations. In-process
-# series times on the benchmark inputs (seed 21; 2-core VM, numpy 2.4, one
-# BLAS thread) for BLOCK_ENTRIES = 2048 / 8192 / 16384 / 32768 / unbounded:
-#   n = 20,   101 samples:  10.3 / 6.3 / 5.0 / 4.7 / 4.9 ms
-#   n = 500,   11 samples:  21.1 / 17.6 / 15.9 / 25.2 / 13.8 ms
-#   n = 1000,  26 samples:  138 / 135 / 119 / 116 / 159 ms
-# against 75, 22 and 142 ms for one power iteration per sample.
-BLOCK_ENTRIES = 16384
-
 
 @dataclass(frozen=True)
 class ThresholdReport:
@@ -74,31 +61,10 @@ def effective_r_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """R(t) = beta * lambda_max(diag(s(t)) A) / gamma at each recorded time.
 
-    Consecutive samples that share a zero set of s share the components of
-    their effective matrices, and so one SCC pass. Each such run is cut into
-    blocks of max(1, BLOCK_ENTRIES // nnz) samples, and each block is one
-    call of spectral_radius: one block power iteration in which every
-    sample stops on its own certificate. Every sample of a block starts
-    from the last eigenvector of the block before. Warm starts do not make
-    a sample cheap: on the benchmark inputs a sample warm-started from the
-    one before took 31 to 113 products, only 14-23% fewer than from a
-    uniform start. A block saves the per-product overhead instead: the 101
-    samples at n = 20 take 44 block products where one iteration per
-    sample took 3,547 products.
+    One call of spectral_radius on the whole series of states, which
+    batches the samples and certifies each to spectral.DEFAULT_TOL relative.
     """
-    width = max(1, BLOCK_ENTRIES // max(g.nnz, 1))
-    live = traj.s > 0
-    changes = np.flatnonzero(np.any(live[1:] != live[:-1], axis=1)) + 1
-    edges = [0, *changes.tolist(), len(traj)]
-    values = np.empty(len(traj))
-    vec = None
-    for first, end in zip(edges, edges[1:]):
-        for lo in range(first, end, width):
-            hi = min(lo + width, end)
-            lam, vecs = spectral_radius(g, traj.s[lo:hi], start=vec)
-            values[lo:hi] = beta * lam / gamma
-            vec = vecs[-1]
-    return traj.times.copy(), values
+    return traj.times.copy(), beta * spectral_radius(g, traj.s) / gamma
 
 
 def time_to_subthreshold(

@@ -377,7 +377,7 @@ def test_scalar_si_grid(capsys):
 
 
 @pytest.mark.parametrize(
-    "dt, message", [("0.6", "not a whole number of steps"), ("5", "t_end must be at least dt")]
+    "dt, message", [("0.6", "not a whole number of steps"), ("5", "--t-end must be at least --dt")]
 )
 def test_scalar_needs_a_whole_step_count(tmp_path, capsys, dt, message):
     out = tmp_path / "scalar.csv"
@@ -667,7 +667,7 @@ def test_scalar_rejects_nonpositive_dt(capsys, dt):
     )
     assert code == 2
     captured = capsys.readouterr()
-    assert "bad configuration" in captured.err and "dt must be positive" in captured.err
+    assert captured.err == "netepi: bad configuration: --dt must be positive and finite\n"
     assert captured.out == ""
 
 
@@ -803,16 +803,16 @@ SIMULATE_SIS = ["simulate", "--graph", "missing.txt", "--model", "SIS", "--beta"
     "argv, message",
     [
         (["endemic", "--graph", "missing.txt", "--beta", "-1", "--gamma", "1"],
-         "beta must be positive and finite"),
+         "--beta must be positive and finite"),
         (["threshold", "--graph", "missing.txt", "--beta", "1", "--gamma", "0"],
-         "gamma must be positive and finite"),
+         "--gamma must be positive and finite"),
         (["asymptotic", "--graph", "missing.txt", "--beta", "1", "--gamma", "1",
-          "--x0-uniform", "0.1", "--tol", "0"], "tol must be positive and finite"),
+          "--x0-uniform", "0.1", "--tol", "0"], "--tol must be positive and finite"),
         (["asymptotic", "--graph", "missing.txt", "--beta", "1", "--gamma", "1"],
          "give exactly one of --x0-uniform, --seed-node, --x0-file"),
-        ([*SIMULATE_SIS, "--dt", "0"], "dt must be positive and finite"),
+        ([*SIMULATE_SIS, "--dt", "0"], "--dt must be positive and finite"),
         ([*SIMULATE_SIS, "--t-end", "1.05"],
-         "t_end = 1.05 is not a whole number of steps dt = 0.1"),
+         "--t-end = 1.05 is not a whole number of steps --dt = 0.1"),
         ([*SIMULATE_SIS, "--record-every", "0"], "--record-every must be >= 1"),
         ([*SIMULATE_SIS, "--x0-uniform", "1.5"], "--x0-uniform must lie in [0, 1]"),
         ([*SIMULATE_SIS, "--r0-file", "missing.txt"], "--r0-file only applies to SIR, not SIS"),
@@ -908,8 +908,14 @@ def test_allocation_failure_exits_2(tmp_path, graph, argv):
         ("0,0.9,0.9,0.1,0.1,0,0\ninf,0.8,0.8,0.1,0.1,0.1,0.1\n", "non-finite"),
         ("0,0.9,0.9,0.1,0.1,0,0\n1,0.8,nan,0.1,0.1,0.1,0.1\n", "non-finite"),
         ("", "has a header but no rows"),
+        ("0,0.9,0.9,0.1,0.1,0,0\n1,0.9,0.9,5,0.1,-3,0\n",
+         "row 2 (t = 1) has an entry outside [0, 1]"),
+        ("1.5,1.5,0.9,-0.5,0.1,0,0\n", "row 1 (t = 1.5) has an entry outside [0, 1]"),
+        ("0,0.9,0.9,0.1,0.1,0,0\n1,0.5,0.9,0.1,0.1,0,0\n",
+         "row 2 (t = 1) has s + x + r away from 1"),
     ],
-    ids=["nan-time", "inf-time", "nan-state", "header-only"],
+    ids=["nan-time", "inf-time", "nan-state", "header-only",
+         "x-and-r-outside", "s-outside", "sum-off-one"],
 )
 def test_non_finite_or_empty_trajectory_exits_2(pair_graph, tmp_path, capsys, rows, message):
     traj = tmp_path / "traj.csv"

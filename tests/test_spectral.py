@@ -22,10 +22,9 @@ def _dense_radius(a) -> float:
     return float(np.abs(np.linalg.eigvals(np.asarray(a))).max())
 
 
-def _radius(g, start=None):
-    """Radius and vector of g's matrix alone: spectral_radius on a one-row block of ones."""
-    lam, vec = spectral_radius(g, np.ones((1, g.n)), start=start)
-    return lam[0], vec[0]
+def _radius(g):
+    """Radius of g's matrix alone: spectral_radius on a one-row block of ones."""
+    return spectral_radius(g, np.ones((1, g.n)))[0]
 
 
 def test_symmetric_pair():
@@ -112,8 +111,8 @@ def test_monotone_in_state_scaling():
         g = random_sc_graph(rng, n=int(n))
         s = rng.uniform(0.2, 1.0, int(n))
         s_smaller = s * rng.uniform(0.2, 1.0, int(n))
-        lam_big, _ = _radius(effective_matrix(s, g))
-        lam_small, _ = _radius(effective_matrix(s_smaller, g))
+        lam_big = _radius(effective_matrix(s, g))
+        lam_small = _radius(effective_matrix(s_smaller, g))
         assert lam_small <= lam_big * (1 + 1e-10)
 
 
@@ -121,7 +120,7 @@ def test_reducible_rejected_but_radius_still_works():
     g = Graph(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ReducibleMatrixError):
         dominant_eig(g)
-    lam, _ = _radius(g)  # nilpotent: two single-node components
+    lam = _radius(g)  # nilpotent: two single-node components
     assert lam == pytest.approx(0.0, abs=1e-9)
 
 
@@ -146,9 +145,8 @@ def test_radius_of_block_triangular_matrices(seed):
     perm = rng.permutation(a.shape[0])
     a = a[np.ix_(perm, perm)]
     rho = _dense_radius(a)
-    lam, vec = _radius(Graph(a))
+    lam = _radius(Graph(a))
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
-    assert np.all(vec >= 0)
 
 
 def test_radius_of_disjoint_cycles_with_equal_radius():
@@ -156,9 +154,8 @@ def test_radius_of_disjoint_cycles_with_equal_radius():
     a[:3, :3] = directed_ring(3, weight=2.0).adjacency
     a[3:, 3:] = directed_ring(4, weight=2.0).adjacency
     a[3, 0] = 5.0  # a one-way edge between the cycles keeps them separate
-    lam, vec = _radius(Graph(a))
+    lam = _radius(Graph(a))
     assert abs(lam - 2.0) <= 2 * DEFAULT_TOL * 2.0
-    np.testing.assert_allclose(vec, [1 / 3] * 3 + [1 / 4] * 4, rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -168,7 +165,7 @@ def test_radius_with_zeros_in_the_state(seed):
     s = rng.uniform(0.0, 1.0, 30)
     s[rng.choice(30, size=1 + seed * 3, replace=False)] = 0.0
     rho = _dense_radius(s[:, None] * g.adjacency)
-    lam, _ = _radius(effective_matrix(s, g))
+    lam = _radius(effective_matrix(s, g))
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
 
 
@@ -177,19 +174,20 @@ def test_radius_of_a_state_block_matches_single_states():
     g = random_sc_graph(rng, n=25, density=0.1)
     s = rng.uniform(0.0, 1.0, (6, 25))
     s[:, [3, 11, 12]] = 0.0
-    lam, vec = spectral_radius(g, s=s)
-    assert lam.shape == (6,) and vec.shape == (6, 25)
+    lam = spectral_radius(g, s=s)
+    assert lam.shape == (6,)
     for k in range(6):
         rho = _dense_radius(s[k][:, None] * g.adjacency)
         assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
-        assert not vec[k, [3, 11, 12]].any()
     for bad in (s[:, :24], s[:0], s.ravel(), np.where(s > 0.5, np.nan, s), s + 0.5):
         with pytest.raises(InputError):
             spectral_radius(g, s=bad)
     mixed = s.copy()
     mixed[2, 0] = 0.0  # a second zero set
-    with pytest.raises(InputError, match="zero set"):
-        spectral_radius(g, s=mixed)
+    lam = spectral_radius(g, s=mixed)
+    for k in range(6):
+        rho = _dense_radius(mixed[k][:, None] * g.adjacency)
+        assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])
@@ -197,17 +195,15 @@ def test_radius_of_nilpotent_dags_is_exactly_zero(n):
     rng = np.random.default_rng(n)
     a = np.triu(rng.uniform(0.5, 2.0, (n, n)), 1)  # every node reaches only higher ones
     perm = rng.permutation(n)
-    lam, vec = _radius(Graph(a[np.ix_(perm, perm)]))
-    assert lam == 0.0
-    assert not vec.any()
+    assert _radius(Graph(a[np.ix_(perm, perm)])) == 0.0
 
 
 def test_radius_boundary_states():
     g = two_node()
-    lam, _ = _radius(effective_matrix(np.zeros(2), g))
+    lam = _radius(effective_matrix(np.zeros(2), g))
     assert lam == pytest.approx(0.0, abs=1e-12)
     # Zeroing one row keeps a well-defined spectral radius.
-    lam, _ = _radius(effective_matrix(np.array([1.0, 0.0]), g))
+    lam = _radius(effective_matrix(np.array([1.0, 0.0]), g))
     assert lam == pytest.approx(0.0, abs=1e-9)
 
 
@@ -225,11 +221,3 @@ def test_effective_matrix():
     with pytest.raises(ValueError):
         effective_matrix(np.ones(3), g)
 
-
-def test_warm_start_matches_cold_start():
-    g = random_sc_graph(np.random.default_rng(3), n=10)
-    s = np.random.default_rng(4).uniform(0.3, 1.0, 10)
-    m = effective_matrix(s, g)
-    lam_cold, vec = _radius(m)
-    lam_warm, _ = _radius(Graph(m.adjacency * 0.999), start=vec)
-    assert lam_warm == pytest.approx(0.999 * lam_cold, rel=1e-10)

@@ -16,7 +16,7 @@ from netepi import (
     spectral_radius,
     time_to_subthreshold,
 )
-from netepi import threshold
+from netepi import spectral
 from netepi.spectral import DEFAULT_TOL
 
 from conftest import complete_graph, random_sc_graph, symmetric_pair, two_node
@@ -129,19 +129,22 @@ def test_block_series_is_certified_across_a_zero_set_change(monkeypatch, width, 
     traj = Trajectory(np.arange(9.0), s, 1.0 - s, np.zeros_like(s))
     # Width 2 would put samples 4 and 5 in one block, one block all nine.
     entries = 10**9 if width is None else width * g.nnz
-    monkeypatch.setattr(threshold, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(spectral, "BLOCK_ENTRIES", entries)
+    # Both zero sets leave one component, so each block is one power iteration.
+    assert len(g.irreducible_parts(s[0] > 0)) == len(g.irreducible_parts(s[8] > 0)) == 1
     blocks = []
+    iterate = spectral._power_iteration
 
-    def counted(m, s, start=None):
-        blocks.append(len(s))
-        return spectral_radius(m, s, start=start)
+    def counted(product, shift, tol, x):
+        blocks.append(len(x))
+        return iterate(product, shift, tol, x)
 
-    monkeypatch.setattr(threshold, "spectral_radius", counted)
+    monkeypatch.setattr(spectral, "_power_iteration", counted)
     _, values = effective_r_series(traj, g, 1.0, 1.0)
     assert len(blocks) == calls and sum(blocks) == 9
     for k in range(9):
         rho = np.abs(np.linalg.eigvals(s[k][:, None] * g.adjacency)).max()
-        single = spectral_radius(effective_matrix(s[k], g), np.ones((1, 15)))[0][0]
+        single = spectral_radius(effective_matrix(s[k], g), np.ones((1, 15)))[0]
         assert abs(values[k] - rho) <= 2 * DEFAULT_TOL * rho
         assert abs(values[k] - single) <= 2 * DEFAULT_TOL * rho
 
