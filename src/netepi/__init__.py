@@ -5,107 +5,74 @@ threshold analysis (reproduction numbers from the dominant eigenvalue of the
 contact matrix), and certified Newton–GMRES fixed points for the SIS endemic
 state and the SIR asymptotic state, plus the scalar closed forms the network
 results generalize.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access (PEP 562), so a `netepi`
+subcommand loads only the modules it runs.
 """
 
-from .dynamics import (
-    EpidemicState,
-    ModelParams,
-    Trajectory,
-    initial_growth_approx,
-    initial_state,
-    integrate,
-    late_time_decay_rates,
-    read_trajectory_csv,
-    rhs,
-    write_trajectory_csv,
-)
-from .equilibria import (
-    EndemicResult,
-    SirAsymptoticResult,
-    sir_asymptotic,
-    sir_fixed_point_map,
-    sis_endemic,
-    sis_endemic_expansion_high_rate,
-    sis_endemic_expansion_threshold,
-    sis_fixed_point_map,
-)
-from .errors import (
-    BelowThresholdError,
-    EmptyInputError,
-    GraphFormatError,
-    InputError,
-    InvariantViolationError,
-    NetEpiError,
-    NonConvergenceError,
-    ReducibleMatrixError,
-)
-from .graph import (
-    Graph,
-    degree_vector,
-    graph_from_rows,
-    is_strongly_connected,
-    load_graph,
-)
-from .scalar import (
-    ModelKind,
-    si_closed_form,
-    sir_rinf,
-    sir_xmax,
-    sis_closed_form,
-)
-from .spectral import SpectralTriple, dominant_eig, effective_matrix, spectral_radius
-from .threshold import (
-    ThresholdReport,
-    effective_r_series,
-    reproduction_number,
-    time_to_subthreshold,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "load_graph",
-    "graph_from_rows",
-    "is_strongly_connected",
-    "degree_vector",
-    "SpectralTriple",
-    "dominant_eig",
-    "spectral_radius",
-    "effective_matrix",
-    "ModelKind",
-    "si_closed_form",
-    "sis_closed_form",
-    "sir_rinf",
-    "sir_xmax",
-    "ModelParams",
-    "EpidemicState",
-    "Trajectory",
-    "initial_state",
-    "integrate",
-    "rhs",
-    "initial_growth_approx",
-    "late_time_decay_rates",
-    "write_trajectory_csv",
-    "read_trajectory_csv",
-    "EndemicResult",
-    "SirAsymptoticResult",
-    "sis_endemic",
-    "sis_endemic_expansion_threshold",
-    "sis_endemic_expansion_high_rate",
-    "sis_fixed_point_map",
-    "sir_asymptotic",
-    "sir_fixed_point_map",
-    "ThresholdReport",
-    "reproduction_number",
-    "effective_r_series",
-    "time_to_subthreshold",
-    "NetEpiError",
-    "GraphFormatError",
-    "EmptyInputError",
-    "InputError",
-    "ReducibleMatrixError",
-    "BelowThresholdError",
-    "NonConvergenceError",
-    "InvariantViolationError",
-]
+# Each public name and the module that defines it.
+_EXPORTS = {
+    "Graph": "graph",
+    "load_graph": "graph",
+    "graph_from_rows": "graph",
+    "is_strongly_connected": "graph",
+    "degree_vector": "graph",
+    "SpectralTriple": "spectral",
+    "dominant_eig": "spectral",
+    "spectral_radius": "spectral",
+    "effective_matrix": "spectral",
+    "ModelKind": "scalar",
+    "si_closed_form": "scalar",
+    "sis_closed_form": "scalar",
+    "sir_rinf": "scalar",
+    "sir_xmax": "scalar",
+    "ModelParams": "dynamics",
+    "EpidemicState": "dynamics",
+    "Trajectory": "dynamics",
+    "initial_state": "dynamics",
+    "integrate": "dynamics",
+    "rhs": "dynamics",
+    "initial_growth_approx": "dynamics",
+    "late_time_decay_rates": "dynamics",
+    "write_trajectory_csv": "dynamics",
+    "read_trajectory_csv": "dynamics",
+    "EndemicResult": "equilibria",
+    "SirAsymptoticResult": "equilibria",
+    "sis_endemic": "equilibria",
+    "sis_endemic_expansion_threshold": "equilibria",
+    "sis_endemic_expansion_high_rate": "equilibria",
+    "sis_fixed_point_map": "equilibria",
+    "sir_asymptotic": "equilibria",
+    "sir_fixed_point_map": "equilibria",
+    "ThresholdReport": "threshold",
+    "reproduction_number": "threshold",
+    "effective_r_series": "threshold",
+    "time_to_subthreshold": "threshold",
+    "NetEpiError": "errors",
+    "GraphFormatError": "errors",
+    "EmptyInputError": "errors",
+    "InputError": "errors",
+    "ReducibleMatrixError": "errors",
+    "BelowThresholdError": "errors",
+    "NonConvergenceError": "errors",
+    "InvariantViolationError": "errors",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

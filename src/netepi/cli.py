@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -27,7 +28,6 @@ import warnings
 
 import numpy as np
 
-from . import dynamics, equilibria, scalar, threshold
 from .errors import (
     BelowThresholdError,
     GraphFormatError,
@@ -37,7 +37,9 @@ from .errors import (
     ReducibleMatrixError,
 )
 from .graph import Graph, graph_from_rows, load_graph, require_strongly_connected
-from .scalar import ModelKind
+
+# Each _cmd_* function imports the modules it runs, so that one call loads
+# only those: `endemic` loads no integrator, `simulate` no spectral code.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,12 +53,13 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netepi",
         description="Deterministic SI/SIS/SIR epidemic models on weighted digraphs",
+        allow_abbrev=False,
         exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, help, graph=True):
-        p = sub.add_parser(name, help=help, exit_on_error=exit_on_error)
+        p = sub.add_parser(name, help=help, allow_abbrev=False, exit_on_error=exit_on_error)
         p.add_argument("--config", help="JSON object of this command's flags; explicit flags win")
         if graph:
             p.add_argument("--graph", help="edge-list or matrix-JSON file")
@@ -81,14 +84,14 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     width_help = "largest width of the certified enclosure"
 
     p = add_command("endemic", "SIS endemic state (above threshold) to JSON")
-    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL, help=width_help)
+    p.add_argument("--tol", type=float, help=width_help)
     p.add_argument(
         "--bracket", choices=["lower", "upper"], default="lower", help="end of the enclosure written"
     )
 
     p = add_command("asymptotic", "SIR asymptotic state to JSON")
     add_initial_state(p)
-    p.add_argument("--tol", type=float, default=equilibria.DEFAULT_TOL, help=width_help)
+    p.add_argument("--tol", type=float, help=width_help)
     p.add_argument(
         "--start", choices=["zero", "upper"], default="zero", help="end of the enclosure written"
     )
@@ -287,6 +290,9 @@ def _json_text(result) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import dynamics
+    from .scalar import ModelKind
+
     _require(args, "graph", "model", "beta", "t_end")
     kind = ModelKind(args.model)
     beta = _positive(args.beta, "--beta")
@@ -359,10 +365,12 @@ def _gamma_labels(gammas: list[float]) -> list[str]:
 
 
 def _cmd_endemic(args: argparse.Namespace) -> int:
+    from . import equilibria
+
     _require(args, "graph", "beta", "gamma")
     beta = _positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(args.tol, "--tol")
+    tol = _positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     result = equilibria.sis_endemic(g, beta, gamma, tol=tol, bracket=args.bracket)
@@ -372,10 +380,12 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
 
 
 def _cmd_asymptotic(args: argparse.Namespace) -> int:
+    from . import equilibria
+
     _require(args, "graph", "beta", "gamma")
     beta = _positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(args.tol, "--tol")
+    tol = _positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
     _check_initial(args)
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
@@ -394,6 +404,8 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
+    from . import threshold
+
     _require(args, "graph", "beta", "gamma")
     if args.rt_out is not None and args.trajectory is None:
         raise InputError("--rt-out needs --trajectory")
@@ -406,6 +418,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     report = threshold.reproduction_number(g, beta, gamma)
 
     if args.trajectory is not None:
+        from . import dynamics
+
         with open(args.trajectory) as fp:
             traj = dynamics.read_trajectory_csv(fp)
         if traj.n != g.n:
@@ -423,16 +437,19 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 # The flags of `scalar` that each model does not read.
 _SCALAR_UNUSED = {
-    ModelKind.SI: ("gamma", "s0", "r0"),
-    ModelKind.SIS: ("s0", "r0"),
-    ModelKind.SIR: ("x0", "t_end", "dt"),
+    "SI": ("gamma", "s0", "r0"),
+    "SIS": ("s0", "r0"),
+    "SIR": ("x0", "t_end", "dt"),
 }
 
 
 def _cmd_scalar(args: argparse.Namespace) -> int:
+    from . import dynamics, scalar
+    from .scalar import ModelKind
+
     _require(args, "model", "beta")
     kind = ModelKind(args.model)
-    unused = [_flag(name) for name in _SCALAR_UNUSED[kind] if getattr(args, name) is not None]
+    unused = [_flag(name) for name in _SCALAR_UNUSED[args.model] if getattr(args, name) is not None]
     if unused:
         raise InputError(f"scalar {kind.value} does not use {', '.join(unused)}")
     _check_outputs(args, [("--out", args.out)])
@@ -504,5 +521,20 @@ def main(argv=None) -> int:
     return run(args, argv[argv.index(args.command) + 1 :])
 
 
+def script() -> int:
+    """main() for a process that ends when it returns: python -m netepi.cli and `netepi`.
+
+    gc.freeze() moves every live object out of the collector's reach, so
+    interpreter shutdown skips its full collection over the objects numpy
+    made at import (8 ms a process on a 2-core VM with numpy 2.4). main()
+    itself leaves the collector alone, because tests and
+    benchmarks/tracing.py call it in a process that goes on.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InputError, InvariantViolationError
 from .graph import Graph
 from .scalar import ModelKind
-from .spectral import dominant_eig
 
 EXCURSION_TOL = 1e-9
 STATE_TOL = 1e-9
@@ -310,6 +309,8 @@ def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.nda
     x(t) ~ e^{rate t} (v'x0 / v'u) u, with rate beta*lambda_max for SI and
     beta*lambda_max - gamma for SIS/SIR (near the disease-free state).
     """
+    from .spectral import dominant_eig  # here, so that integrating loads no spectral code
+
     x0 = np.asarray(x0, dtype=float)
     trip = dominant_eig(g)
     rate = params.beta * trip.lambda_max

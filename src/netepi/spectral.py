@@ -57,11 +57,12 @@ SHIFT_FRACTION = 0.1
 # block row costs as much as a single product, and the samples of a block
 # all start from the same vector, which costs extra iterations. In-process
 # series times on the benchmark inputs (seed 21; 2-core VM, numpy 2.4, one
-# BLAS thread) for BLOCK_ENTRIES = 2048 / 8192 / 16384 / 32768 / unbounded:
-#   n = 20,   101 samples:  10.3 / 6.3 / 5.0 / 4.7 / 4.9 ms
-#   n = 500,   11 samples:  21.1 / 17.6 / 15.9 / 25.2 / 13.8 ms
-#   n = 1000,  26 samples:  138 / 135 / 119 / 116 / 159 ms
-# against 75, 22 and 142 ms for one power iteration per sample.
+# BLAS thread; median of 25) for BLOCK_ENTRIES = 2048 / 8192 / 16384 /
+# 32768 / unbounded:
+#   n = 20,   101 samples:  3.9 / 2.4 / 2.0 / 2.0 / 2.0 ms
+#   n = 500,   11 samples:  7.7 / 6.5 / 5.4 / 5.4 / 5.1 ms
+#   n = 1000,  26 samples:  53.2 / 53.2 / 47.6 / 45.9 / 66.1 ms
+# against 33.7, 7.7 and 53.4 ms for one row per block.
 BLOCK_ENTRIES = 16384
 
 

@@ -12,13 +12,16 @@ leaves out 1; otherwise it is "critical": undecided at this precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import Trajectory
 from .errors import InputError
 from .graph import Graph
 from .spectral import dominant_eig, spectral_radius
+
+if TYPE_CHECKING:
+    from .dynamics import Trajectory
 
 
 @dataclass(frozen=True)
@@ -28,11 +31,12 @@ class ThresholdReport:
     classification is "below" or "above" when the whole certified enclosure
     beta*(lambda_max +/- width)/gamma lies on that side of 1, and "critical"
     when it holds 1. crossing_time is the first time R(t) drops below 1, if
-    a trajectory was given and it does. It interpolates the certified R(t)
-    samples linearly, so a sample error of about spectral.DEFAULT_TOL
-    relative moves it by that error over the slope of R(t). Near threshold,
-    where R(t) falls by only about R0 - 1 before it crosses, that leaves
-    about 9 of its 17 printed digits certified (1e-9 relative at R0 = 1.001).
+    a trajectory was given and it does. It is a linear interpolation between
+    the R(t) samples at the two recorded rows that bracket the crossing, so
+    its error is dominated by the row spacing, not by the samples' 1e-12
+    relative certificate: 4.5e-2 at a spacing of 0.8 on a 1000-node
+    outbreak, 8.0e-7 at 0.2 near threshold (R0 = 1.001, 500 nodes), against
+    a crossing from every integration step.
     """
 
     r0: float

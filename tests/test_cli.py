@@ -435,6 +435,8 @@ _SIMULATE = {"model": "SI", "beta": 1.0, "t_end": 0.1, "dt": 0.01}
          "unknown config keys: ['bracket']"),
         ("threshold", {**_ENDEMIC, "graph_path": "g.txt"}, "unknown config keys: ['graph_path']"),
         ("threshold", {**_ENDEMIC, "config": "other.json"}, "unknown config keys: ['config']"),
+        # a prefix of a flag's name is no key
+        ("threshold", {"bet": 2.0, "gamma": "1.0"}, "unknown config keys: ['bet']"),
     ],
 )
 def test_config_values_are_checked_like_flags(
@@ -572,6 +574,13 @@ def test_unknown_flag_exits_2(pair_graph):
     with pytest.raises(SystemExit) as exc:
         main(["endemic", "--graph", pair_graph, "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_abbreviated_flag_exits_2(pair_graph, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--graph", pair_graph, "--bet", "2", "--gam", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bet 2 --gam 1" in capsys.readouterr().err
 
 
 def test_asymptotic_json(pair_graph, capsys):
@@ -952,28 +961,87 @@ def test_stdout_equals_the_out_file(pair_graph, tmp_path, capsys, command, argv)
     assert out.read_bytes() == printed.encode()
 
 
-def test_runtime_imports_only_numpy_and_the_standard_library():
+# The netepi modules each call loads, besides the package, cli, errors and graph.
+_RATES = ["--graph", "pair.txt", "--beta", "2", "--gamma", "1"]
+_MODULES_BY_CALL = [
+    (["endemic", *_RATES], {"equilibria", "spectral"}),
+    (["asymptotic", *_RATES, "--x0-uniform", "0.1"], {"equilibria", "spectral"}),
+    (["threshold", *_RATES], {"threshold", "spectral"}),
+    (["simulate", *_RATES, "--model", "SIR", "--seed-node", "1", "--t-end", "1", "--dt", "0.1",
+      "--out", "traj.csv"], {"dynamics", "scalar"}),
+    (["threshold", *_RATES, "--trajectory", "traj.csv", "--rt-out", "rt.csv"],
+     {"threshold", "spectral", "dynamics", "scalar"}),
+    (["scalar", "--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1"], {"dynamics", "scalar"}),
+]
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library(pair_graph, tmp_path):
     probe = (
-        "import sys, json; before = set(sys.modules); {imports}; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import sys, json; before = set(sys.modules); {code}; "
+        "print(json.dumps(sorted(set(sys.modules) - before)), file=sys.stderr)"
     )
 
-    def loaded(imports):
-        out = subprocess.run(
-            [sys.executable, "-c", probe.format(imports=imports)],
-            capture_output=True, text=True, check=True,
+    def loaded(code):
+        err = subprocess.run(
+            [sys.executable, "-c", probe.format(code=code)],
+            capture_output=True, text=True, check=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(SRC)},
-        ).stdout
-        return set(json.loads(out))
+        ).stderr
+        return set(json.loads(err))
 
+    numpy = loaded("import numpy")
+    package = loaded("import netepi")
+    assert {m for m in package if m.startswith("netepi.")} == set()
     cli = loaded("import netepi.cli")
     assert "logging" not in cli
-    extra = cli - loaded("import numpy")
-    foreign = [
-        m for m in extra
-        if m.split(".")[0] != "netepi" and m.split(".")[0] not in sys.stdlib_module_names
-    ]
-    assert foreign == []
+    base = {"netepi", "netepi.cli", "netepi.errors", "netepi.graph"}
+    assert {m for m in cli if m.startswith("netepi")} == base
+    for argv, modules in _MODULES_BY_CALL:  # pair_graph is pair.txt in tmp_path
+        call = loaded(f"from netepi.cli import main; assert main({argv!r}) == 0")
+        assert {m for m in call if m.startswith("netepi")} == base | {f"netepi.{m}" for m in modules}
+        foreign = [
+            m for m in call - numpy
+            if m.split(".")[0] != "netepi" and m.split(".")[0] not in sys.stdlib_module_names
+        ]
+        assert foreign == []
+
+
+def test_every_public_name_resolves():
+    import netepi
+
+    for name in netepi.__all__:
+        value = getattr(netepi, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(netepi.__all__) <= set(dir(netepi))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        netepi.nope
+
+
+def test_module_entry_point_writes_what_main_writes(g20_file, tmp_path, capsys):
+    def run_module(argv):
+        return subprocess.run(
+            [sys.executable, "-m", "netepi.cli", *argv], capture_output=True, timeout=60,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    simulate = ["simulate", "--graph", g20_file, "--model", "SIR", "--beta", "1", "--gamma", "0.5",
+                "--seed-node", "1", "--t-end", "2", "--dt", "0.1"]
+    proc = run_module([*simulate, "--out", "module.csv"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert main([*simulate, "--out", str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    threshold = ["threshold", "--graph", g20_file, "--beta", "1", "--gamma", "0.5"]
+    proc = run_module(threshold)
+    assert main(threshold) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out.encode(), b"")
+
+    below = ["endemic", "--graph", g20_file, "--beta", "0.001", "--gamma", "1"]
+    proc = run_module(below)
+    assert main(below) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("netepi: threshold precondition failed: ") and err.count("\n") == 1
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, b"", err.encode())
 
 
 def test_successful_sweep_writes_nothing_to_stderr(g20_file, tmp_path):
