@@ -37,6 +37,7 @@ _EXPORTS = {
     "initial_state": "dynamics",
     "integrate": "dynamics",
     "rhs": "dynamics",
+    "sir_fixed_point_map": "dynamics",
     "initial_growth_approx": "dynamics",
     "late_time_decay_rates": "dynamics",
     "write_trajectory_csv": "dynamics",
@@ -48,7 +49,6 @@ _EXPORTS = {
     "sis_endemic_expansion_high_rate": "equilibria",
     "sis_fixed_point_map": "equilibria",
     "sir_asymptotic": "equilibria",
-    "sir_fixed_point_map": "equilibria",
     "ThresholdReport": "threshold",
     "reproduction_number": "threshold",
     "effective_r_series": "threshold",

@@ -1,15 +1,15 @@
 """Network SI/SIS/SIR vector fields and fixed-step trajectory integration.
 
 States live in the per-node box [0, 1]^n with s + x + r = 1 at every node
-(r identically zero for SI and SIS). The integrator is classic fourth-order
+(r identically zero for SI and SIS). A run integrates x for SI and SIS, and
+u = s + x = 1 - r for SIR, with s = H(u) (see sir_fixed_point_map), so that
+s + x + r = 1 holds by construction. The integrator is classic fourth-order
 Runge-Kutta with a fixed step: the systems are smooth and non-stiff at the
 scales this package targets, and a fixed step keeps invariant monitoring
 deterministic. Roundoff-sized excursions from the box are clamped; anything
 larger than EXCURSION_TOL is treated as an integration failure, not noise.
-Several parameter sets integrate together as the rows of one state block,
-so a recovery-rate sweep pays for one sparse product per RK4 stage (SIR as
-a (3, B, n) block of s, x and r planes). A step reuses preallocated buffers
-and evaluates fields reassociated around the product with beta folded in.
+Several parameter sets integrate together as the rows of one (B, n) block,
+so a recovery-rate sweep pays for one sparse product per RK4 stage.
 Every CSV of the package, trajectories and series alike, goes through one
 row writer, write_csv, which formats and writes one row at a time.
 """
@@ -50,9 +50,8 @@ class ModelParams:
         if self.kind is ModelKind.SI:
             if self.gamma is not None:
                 raise InputError("SI has no recovery rate")
-        else:
-            if self.gamma is None or self.gamma <= 0:
-                raise InputError(f"{self.kind.value} requires gamma > 0")
+        elif self.gamma is None or self.gamma <= 0:
+            raise InputError(f"{self.kind.value} requires gamma > 0")
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,10 @@ class EpidemicState:
         for name, v in (("s", s), ("x", x), ("r", r)):
             if not np.all((v >= -STATE_TOL) & (v <= 1 + STATE_TOL)):
                 raise InputError(f"{name} has entries outside [0, 1]")
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
         if not np.abs(s + x + r - 1.0).max() <= STATE_TOL:
             raise InputError("s + x + r must equal 1 at every node")
-        for v in (s, x, r):
-            v.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -89,12 +85,9 @@ def initial_state(kind: ModelKind, x0, r0=None) -> EpidemicState:
     """Build a consistent starting state from infected (and recovered) fractions."""
     kind = ModelKind(kind)
     x0 = np.asarray(x0, dtype=float)
-    if kind is ModelKind.SIR:
-        r0 = np.zeros_like(x0) if r0 is None else np.asarray(r0, dtype=float)
-    else:
-        if r0 is not None and np.any(np.asarray(r0) != 0):
-            raise InputError(f"{kind.value} has no recovered compartment")
-        r0 = np.zeros_like(x0)
+    if kind is not ModelKind.SIR and r0 is not None and np.any(np.asarray(r0) != 0):
+        raise InputError(f"{kind.value} has no recovered compartment")
+    r0 = np.zeros_like(x0) if r0 is None or kind is not ModelKind.SIR else np.asarray(r0, float)
     return EpidemicState(s=1.0 - x0 - r0, x=x0, r=r0)
 
 
@@ -119,56 +112,84 @@ class Trajectory:
         return self.s.shape[1]
 
 
-def rhs(state: EpidemicState, params: ModelParams, g: Graph):
-    """Time derivatives (ds, dx, dr) of the network model at a state."""
-    y = _pack(params.kind, state, 1)
-    dy = np.empty_like(y)
-    _field(params.kind, params.beta, [params.gamma or 0.0], g, 1)(y, dy)
-    if params.kind is ModelKind.SIR:
-        return dy[0, 0], dy[1, 0], dy[2, 0]
-    return -dy[0], dy[0], np.zeros_like(dy[0])
+def sir_fixed_point_map(g: Graph, beta: float, gamma, s0, r0):
+    """The H-map H(u)_i = s0_i exp((beta/gamma) sum_j a_ij (u_j - 1 + r0_j)).
 
-
-def _pack(kind: ModelKind, state: EpidemicState, b: int) -> np.ndarray:
-    """A new block of b copies of a state: (b, n) of x for SI/SIS, (3, b, n) of s, x, r for SIR."""
-    if kind is ModelKind.SIR:
-        return np.array((state.s, state.x, state.r))[:, None].repeat(b, axis=1)
-    return state.x[None].repeat(b, axis=0)
-
-
-def _field(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, b: int):
-    """Vector field f(y, out) on a working block of b runs (see _pack), written into out.
-
-    out must not overlap y. Row j recovers at gamma[j]. SI is SIS at
-    gamma = 0: P + 0.0 is P bit for bit, since bincount never returns -0.0.
-    The pressure P = beta A x comes from one product bound with beta in its
-    weights, and each field is reassociated around it to save operations:
-    SIS is P - x (P + gamma), and SIR is ds = -s P, dr = gamma x,
-    dx = s P - gamma x.
+    The conserved s_i exp((beta/gamma) (A r)_i) of a network SIR run from
+    (s0, x0, r0) gives s = H(u), u = s + x = 1 - r, so u' = gamma (H(u) - u);
+    its limit s(inf) is the unique fixed point of H in [0, 1 - r0]. For B
+    rates gamma, h(u, out=None) maps (B, n) blocks, row j bit for bit as the
+    map of gamma[j] maps n-vectors.
     """
-    pressure = g.block_product(b, beta)
-    # One rate per entry: same-shape operands take numpy's fast loops.
-    gamma = np.array(gamma, dtype=float).repeat(g.n).reshape(b, g.n)
-    if kind is ModelKind.SIR:
-        def f(y, out):
-            x, ds, dr = y[1], out[0], out[2]
-            np.multiply(y[0], pressure(x), ds)
-            np.multiply(gamma, x, dr)
-            np.subtract(ds, dr, out[1])
-            np.negative(ds, ds)
-    else:
-        def f(x, out):
-            p = pressure(x)
-            np.add(p, gamma, out)
-            np.multiply(x, out, out)
-            np.subtract(p, out, out)
+    s0 = np.asarray(s0, dtype=float)
+    scale = beta / np.asarray(gamma, dtype=float)
+    product = g.block_product(scale.size, scale)
+    offset = product(np.broadcast_to(np.subtract(r0, 1.0), (*scale.shape, g.n)))
 
-    return f
+    def h(u, out=None):
+        z = np.add(product(u), offset, out)
+        np.exp(z, z)
+        return np.multiply(s0, z, z)
+
+    return h
+
+
+def rhs(state: EpidemicState, params: ModelParams, g: Graph):
+    """Time derivatives (ds, dx, dr) of the network model at a state.
+
+    SIR takes u' = -gamma x from the field integrate solves, then the chain
+    rule through s = H(u): ds = s (beta/gamma) A u', dx = u' - ds, dr = -u'.
+    """
+    y, f, _, _ = _model(params.kind, params.beta, [params.gamma or 0.0], g, state)
+    du = f(y, np.empty_like(y))[0]
+    if params.kind is ModelKind.SIR:
+        ds = state.s * g.block_product(1, params.beta / params.gamma)(du)
+        return ds, du - ds, -du
+    return -du, du, np.zeros_like(du)
+
+
+def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state0: EpidemicState):
+    """(y, f, limit, planes) of b = len(gamma) runs from state0, one (b, n) block.
+
+    y holds b copies of x (SI, SIS) or u = 1 - r (SIR). f(y, out) writes the
+    field into out, which must not overlap y, and returns it; row j recovers
+    at gamma[j]. A field value above limit (if not None) means a derived
+    x < -EXCURSION_TOL. planes(records) turns recorded rows (rows, b, n),
+    which it may overwrite, into s, x and r. SI is SIS at gamma = 0 (P + 0.0
+    is P bit for bit: bincount never returns -0.0); SIS is P - x (P + gamma)
+    with P = beta A x, SIR is gamma (H(u) - u), each one product a call.
+    """
+    y = (1.0 - state0.r if kind is ModelKind.SIR else state0.x)[None].repeat(len(gamma), axis=0)
+    # One rate per entry: same-shape operands take numpy's fast loops.
+    rates = np.array(gamma, dtype=float).repeat(g.n).reshape(y.shape)
+    if kind is ModelKind.SIR:
+        h = sir_fixed_point_map(g, beta, gamma, state0.s, state0.r)
+
+        def f(u, out):
+            h(u, out)
+            np.subtract(out, u, out)
+            return np.multiply(rates, out, out)
+
+        def planes(u):
+            s = np.array([h(row) for row in u])
+            # f has checked every x against the margin; inside it, x is clamped to 0.
+            return s, np.maximum(u - s, 0.0), np.subtract(1.0, u, u)
+
+        return y, f, EXCURSION_TOL * rates, planes
+
+    pressure = g.block_product(len(gamma), beta)
+
+    def f(x, out):
+        p = pressure(x)
+        np.add(p, rates, out)
+        np.multiply(x, out, out)
+        return np.subtract(p, out, out)
+
+    return y, f, None, lambda x: (1.0 - x, x, np.zeros_like(x))
 
 
 def default_step(params: ModelParams) -> float:
-    rates = [params.beta] + ([params.gamma] if params.gamma is not None else [])
-    return 1e-3 / max(rates)
+    return 1e-3 / max(params.beta, params.gamma or 0.0)
 
 
 def step_count(t_end: float, dt: float, names=("t_end", "dt")) -> int:
@@ -190,6 +211,7 @@ def step_count(t_end: float, dt: float, names=("t_end", "dt")) -> int:
     return n_steps
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN fails the box check
 def integrate(
     state0: EpidemicState,
     params: ModelParams | Sequence[ModelParams],
@@ -204,22 +226,22 @@ def integrate(
     One ModelParams gives one Trajectory. A sequence of B parameter sets
     sharing kind, beta and step size gives a list of B trajectories, in
     order, all started from state0: they are integrated together as the
-    rows of one working block (see _pack), so each RK4 stage costs one
-    sparse product, and row j is bit-identical to integrating params[j] on
-    its own. SI runs as SIS at gamma = 0 (see _field). The RK4 stages reuse
-    buffers allocated once per run, the state is updated in place, and
-    recording copies it into a block of records sized from n_steps and
-    record_every, shrunk on a stationary stop.
+    rows of one (B, n) working block (see _model), so each RK4 stage costs
+    one sparse product, and row j is bit-identical to integrating params[j]
+    on its own. The RK4 stages reuse buffers allocated once per run, the
+    state is updated in place, and recording copies it into a block of
+    records sized from n_steps and record_every, shrunk on a stationary stop.
 
     Records the initial state, every record_every-th step, and the final
     state. With stop_when_stationary the run ends early once the sup-norm of
-    the right-hand side over the block drops below STATIONARY_TOL (the
-    standard surrogate for the t -> infinity limits).
+    the field over the block drops below STATIONARY_TOL (the standard
+    surrogate for the t -> infinity limits): max |x'| for SI and SIS, and
+    max |u'| = gamma max x for SIR.
 
     Raises InputError unless t_end is a whole number of steps dt (see
     step_count). Raises InvariantViolationError if a step leaves [0, 1]^n
-    by more than EXCURSION_TOL (meaning dt is too large) or produces NaN,
-    in any row.
+    (for SIR: u, or the derived x) by more than EXCURSION_TOL (meaning dt
+    is too large) or produces NaN, in any row.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
     if not batch:
@@ -238,8 +260,7 @@ def integrate(
 
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")
-    f = _field(kind, beta, [p.gamma or 0.0 for p in batch], g, len(batch))
-    y = _pack(kind, state0, len(batch))
+    y, f, limit, planes = _model(kind, beta, [p.gamma or 0.0 for p in batch], g, state0)
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     stages = ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4))  # stage = y + c k_in -> k_out
 
@@ -250,11 +271,10 @@ def integrate(
     times[0], records[0] = 0.0, y
     count = 1
 
+    f(y, k1)
     for k in range(1, n_steps + 1):
-        f(y, k1)
         if stop_when_stationary and np.abs(k1).max() < STATIONARY_TOL:
-            # y is the state after step k - 1; record it unless that
-            # instant is already recorded.
+            # Record y, the state after step k - 1, unless already recorded.
             if times[count - 1] != (k - 1) * dt:
                 times[count], records[count] = (k - 1) * dt, y
                 count += 1
@@ -278,28 +298,27 @@ def integrate(
         lo, hi = y.min(), y.max()
         if not (lo >= 0.0 and hi <= 1.0):
             if np.any(np.isnan(y)):
-                raise InvariantViolationError(f"NaN in state at t = {k * dt:.6g}")
+                raise InvariantViolationError(f"NaN in state at t = {k * dt:.6g}; reduce dt")
             excursion = max(hi - 1.0, -lo, 0.0)
             if excursion >= EXCURSION_TOL:
                 raise InvariantViolationError(
                     f"state left [0, 1] by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
                 )
             np.clip(y, 0.0, 1.0, out=y)
+        f(y, k1)  # the next step's first stage
+        if limit is not None and (k1 > limit).any():
+            excursion = EXCURSION_TOL * (k1 / limit).max()
+            raise InvariantViolationError(
+                f"x fell below 0 by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
+            )
 
         if k % record_every == 0 or k == n_steps:
             times[count], records[count] = k * dt, y
             count += 1
 
-    trajectories = _build_trajectories(kind, times, records)
+    s, x, r = (plane.transpose(1, 0, 2) for plane in planes(records))  # each (B, rows, n)
+    trajectories = [Trajectory(times, *run) for run in zip(s, x, r)]
     return trajectories[0] if isinstance(params, ModelParams) else trajectories
-
-
-def _build_trajectories(kind: ModelKind, times, block) -> list[Trajectory]:
-    # block is (rows, B, n), or (rows, 3, B, n) for SIR
-    if kind is ModelKind.SIR:
-        s, x, r = block.transpose(1, 2, 0, 3)  # each (B, rows, n)
-        return [Trajectory(times, *run) for run in zip(s, x, r)]
-    return [Trajectory(times, 1.0 - x, x, np.zeros_like(x)) for x in block.transpose(1, 0, 2)]
 
 
 def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.ndarray:
@@ -313,9 +332,7 @@ def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.nda
 
     x0 = np.asarray(x0, dtype=float)
     trip = dominant_eig(g)
-    rate = params.beta * trip.lambda_max
-    if params.kind is not ModelKind.SI:
-        rate -= params.gamma
+    rate = params.beta * trip.lambda_max - (params.gamma or 0.0)
     coef = float(trip.v_max @ x0) / float(trip.v_max @ trip.u_max)
     return np.exp(rate * t) * coef * trip.u_max
 
@@ -338,8 +355,7 @@ def late_time_decay_rates(traj: Trajectory, window: tuple[float, float]) -> np.n
     sw = traj.s[mask]
     if np.any(sw <= 0):
         raise InputError("susceptible fraction hit zero inside the window")
-    coeffs = np.polyfit(traj.times[mask], np.log(sw), 1)
-    return coeffs[0]
+    return np.polyfit(traj.times[mask], np.log(sw), 1)[0]
 
 
 # --- CSV output ---------------------------------------------------------------

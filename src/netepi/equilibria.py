@@ -161,7 +161,7 @@ def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
         r_norm = np.abs(r).max()
 
         def jac(v):
-            return v - c * product(v[None])[0]
+            return v - c * product(v)
 
         if gain is not None and r_norm * gain <= tol:
             bounds = _enclosure(f, jac, y, r_norm, hi, tol, positive)
@@ -191,7 +191,7 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
     product = g.block_product(1, beta / gamma)
 
     def f(y):
-        z = product(y[None])[0]
+        z = product(y)
         return z / (1.0 + z)
 
     return f
@@ -285,23 +285,6 @@ def sis_endemic_expansion_high_rate(g: Graph, beta: float, gamma: float) -> np.n
 # --- SIR asymptotic state ---------------------------------------------------
 
 
-def sir_fixed_point_map(g: Graph, beta: float, gamma: float, s0, r0):
-    """The map H(y)_i = s_i(0) exp((beta/gamma) sum_j a_ij (y_j - 1 + r_j(0))).
-
-    Its unique fixed point in [0, 1 - r0] is the limit s(inf) of the network
-    SIR model started at (s0, x0, r0).
-    """
-    s0 = np.asarray(s0, dtype=float)
-    r0 = np.asarray(r0, dtype=float)
-    product = g.block_product(1, beta / gamma)
-    offset = product((r0 - 1.0)[None])[0]
-
-    def h(y):
-        return s0 * np.exp(product(y[None])[0] + offset)
-
-    return h
-
-
 def sir_asymptotic(
     g: Graph,
     beta: float,
@@ -320,9 +303,7 @@ def sir_asymptotic(
     no enclosure is certified.
     """
     require_strongly_connected(g)
-    s0 = np.asarray(s0, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    r0 = np.asarray(r0, dtype=float)
+    s0, x0, r0 = (np.asarray(v, dtype=float) for v in (s0, x0, r0))
     # Written so that a NaN entry fails each test.
     if not (np.all(s0 >= 0) and np.all(x0 >= 0) and np.all(r0 >= 0)):
         raise InputError("s0, x0, r0 must be nonnegative")
@@ -332,6 +313,8 @@ def sir_asymptotic(
         raise InputError("s0 + x0 + r0 must equal 1 at every node")
     if start not in ("zero", "upper"):
         raise InputError(f"start must be 'zero' or 'upper', got {start!r}")
+
+    from .dynamics import sir_fixed_point_map  # here, so that endemic loads no dynamics code
 
     h = sir_fixed_point_map(g, beta, gamma, s0, r0)
     k = beta / gamma
@@ -346,5 +329,4 @@ def sir_asymptotic(
         residual=float(np.abs(h(s_inf) - s_inf).max()),
         width=float((upper - lower).max()),
         start=start,
-        warnings=(),
     )

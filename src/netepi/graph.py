@@ -72,34 +72,36 @@ class Graph:
     def nnz(self) -> int:
         return self.weights.shape[0]
 
-    def block_product(self, b: int, scale: float = 1.0):
-        """The function X -> (scale A) X[k], row by row, for (b, n) blocks X.
+    def block_product(self, b: int, scale=1.0):
+        """The function X -> (scale[k] A) X[k], row by row, for (b, n) blocks X.
 
+        scale is one factor or b, one per row; if b = 1, X may be an n-vector.
         The index arrays, the scaled weights and a scratch buffer for the
         terms are built once per binding, so a call is a gather into the
         scratch, a multiply and one bincount over the flattened bins
         k * n + rows. All of them belong to the returned function, not to
-        the graph: bind one per thread. Each call returns a new (b, n) array.
-        bincount adds the terms of each row in edge order whatever b and the
-        memory order of X, so row k equals block_product(1, scale)(X[k:k+1])
-        bit for bit.
+        the graph: bind one per thread. Each call returns a new array.
+        bincount adds each row's terms in edge order whatever b and the
+        memory order of X, with row k's weights scale[k] * weights, so row k
+        equals block_product(1, scale[k])(X[k:k+1]) bit for bit.
         """
         n = self.n
         offsets = np.arange(b)[:, None] * n
         bins = (offsets + self.rows).ravel()
         gather = (offsets + self.cols).ravel()
-        weights = np.tile(scale * self.weights, b)
+        weights = (np.broadcast_to(scale, (b,))[:, None] * self.weights).ravel()
         terms = np.empty_like(weights)
         shape, size = (b, n), b * n
+        shapes = {shape, (n,)} if b == 1 else {shape}
 
         def product(x: np.ndarray) -> np.ndarray:
-            if x.shape != shape:
+            if x.shape not in shapes:
                 raise InputError(f"block has shape {x.shape}, expected {shape}")
             # mode="clip" lets take write into terms unbuffered; the shape
             # check keeps every index in range.
             x.take(gather, None, terms, "clip")
             np.multiply(terms, weights, terms)
-            return np.bincount(bins, terms, size).reshape(shape)
+            return np.bincount(bins, terms, size).reshape(x.shape)
 
         return product
 

@@ -3,8 +3,8 @@
 Closed forms where they exist and a bisection solve for the SIR final size.
 These double as oracles for the network models: on a symmetric graph with a
 symmetric initial state every node follows the scalar solution. The scalar
-vector fields themselves are the network ones (dynamics.rhs) on the
-one-node graph with a unit self-loop.
+fields are the network ones on the one-node graph with a unit self-loop:
+dynamics.rhs, with SIR's (ds, dx, dr) derived from u' through s = H(u).
 """
 
 from __future__ import annotations

@@ -965,7 +965,7 @@ def test_stdout_equals_the_out_file(pair_graph, tmp_path, capsys, command, argv)
 _RATES = ["--graph", "pair.txt", "--beta", "2", "--gamma", "1"]
 _MODULES_BY_CALL = [
     (["endemic", *_RATES], {"equilibria", "spectral"}),
-    (["asymptotic", *_RATES, "--x0-uniform", "0.1"], {"equilibria", "spectral"}),
+    (["asymptotic", *_RATES, "--x0-uniform", "0.1"], {"equilibria", "spectral", "dynamics", "scalar"}),
     (["threshold", *_RATES], {"threshold", "spectral"}),
     (["simulate", *_RATES, "--model", "SIR", "--seed-node", "1", "--t-end", "1", "--dt", "0.1",
       "--out", "traj.csv"], {"dynamics", "scalar"}),

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from netepi import (
@@ -183,9 +184,9 @@ def test_sir_s_decreasing_and_infection_dies():
     )
     assert np.all(np.diff(traj.s, axis=0) < 0)
     assert traj.x[-1].max() < 1e-6
-    # conservation s + x + r = 1 within the integrator tolerance
+    # s = H(u), x = u - s and r = 1 - u conserve s + x + r = 1 up to rounding
     total = traj.s + traj.x + traj.r
-    assert np.abs(total - 1.0).max() <= 1e-9
+    assert np.abs(total - 1.0).max() <= 4.5e-16
 
 
 def test_nan_state_raises():
@@ -205,6 +206,15 @@ def test_large_step_raises():
             t_end=10.0,
             dt=1.0,
         )
+
+
+@pytest.mark.parametrize("t_end", [10.0, 0.5])
+def test_large_step_raises_on_negative_sir_x(t_end):
+    # The first step overshoots to x = u - H(u) < 0 at t = 0.5; the field
+    # evaluated after each step finds it, also after the last step.
+    x0 = np.array([0.5, 0.0, 0.0, 0.0])
+    with pytest.raises(InvariantViolationError, match=r"x fell below 0 by .* at t = 0\.5; reduce dt"):
+        integrate(initial_state("SIR", x0), ModelParams("SIR", 0.5, 5.0), complete_graph(4), t_end=t_end, dt=0.5)
 
 
 def test_growth_approx_projection_at_t0():
@@ -347,30 +357,23 @@ def test_batched_runs_equal_single_runs():
                 assert np.array_equal(getattr(run, name), getattr(alone, name))
 
 
-def _dense_field(kind, beta, gamma, a):
-    """The network field on the dense matrix, in the textbook form."""
-    n = a.shape[0]
-    if kind == "SI":
-        return lambda x: beta * (1.0 - x) * (a @ x)
-    if kind == "SIS":
-        return lambda x: beta * (1.0 - x) * (a @ x) - gamma * x
-
-    def f(y):
-        s, x = y[:n], y[n : 2 * n]
-        flow = beta * s * (a @ x)
-        return np.concatenate((-flow, flow - gamma * x, gamma * x))
-
-    return f
-
-
 def _oracle(kind, beta, gamma, a, state0, t_end, dt):
-    """rk4 on the dense field; returns times and the s, x, r rows."""
-    n = a.shape[0]
-    y0 = np.concatenate((state0.s, state0.x, state0.r)) if kind == "SIR" else state0.x
-    times, values = rk4(_dense_field(kind, beta, gamma, a), y0, t_end, dt)
-    if kind == "SIR":
-        return times, values[:, :n], values[:, n : 2 * n], values[:, 2 * n :]
-    return times, 1.0 - values, values, np.zeros_like(values)
+    """rk4 on the dense field; returns times and the s, x, r rows.
+
+    SI and SIS integrate x in the textbook form. SIR integrates
+    u = s + x = 1 - r by u' = gamma (s0 exp((beta/gamma) A (u - u0)) - u),
+    and s, x = u - s and r = 1 - u follow from u.
+    """
+    if kind != "SIR":
+        times, x = rk4(lambda x: beta * (1.0 - x) * (a @ x) - (gamma or 0.0) * x, state0.x, t_end, dt)
+        return times, 1.0 - x, x, np.zeros_like(x)
+    u0 = 1.0 - state0.r
+
+    def s_of(u):
+        return state0.s * np.exp((beta / gamma) * ((u - u0) @ a.T))
+
+    times, u = rk4(lambda u: gamma * (s_of(u) - u), u0, t_end, dt)
+    return times, s_of(u), u - s_of(u), 1.0 - u
 
 
 @pytest.fixture()
@@ -401,6 +404,36 @@ def test_integrate_matches_rk4_oracle(kind, gammas, clamps):
         np.testing.assert_array_equal(run.times, times)
         for got, want in ((run.s, s), (run.x, x), (run.r, r)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_sir_sweep_matches_solve_ivp_on_the_paper_field():
+    # integrate solves u' = gamma (H(u) - u); the paper's model is the (s, x, r)
+    # field below. DOP853 at tight tolerances stands in for the exact flow, so
+    # the gap is RK4's own error: fourth order, about 1.5e-7 at dt = 0.01.
+    rng = np.random.default_rng(29)
+    n, beta, gammas, t_end = 30, 0.8, (0.5, 1.0, 2.0), 6.0
+    g = random_sc_graph(rng, n)
+    x0, r0 = np.zeros(n), np.zeros(n)
+    x0[:3], r0[5:8] = rng.uniform(0.05, 0.2, 3), 0.1
+    state0 = initial_state("SIR", x0, r0)
+    batch = [ModelParams("SIR", beta, gv) for gv in gammas]
+    errors = {}
+    for dt in (0.01, 0.02):
+        runs = integrate(state0, batch, g, t_end=t_end, dt=dt, record_every=round(0.5 / dt))
+        for gamma, run in zip(gammas, runs):
+
+            def paper(t, y, gamma=gamma):
+                s, x = y[:n], y[n : 2 * n]
+                flow = beta * s * (g.adjacency @ x)
+                return np.concatenate((-flow, flow - gamma * x, gamma * x))
+
+            y0 = np.concatenate((state0.s, state0.x, state0.r))
+            ref = solve_ivp(paper, (0.0, t_end), y0, method="DOP853", t_eval=run.times, rtol=1e-13, atol=1e-15).y.T
+            got = np.hstack((run.s, run.x, run.r))
+            errors[dt, gamma] = np.abs(got - ref).max()
+    for gamma in gammas:
+        assert errors[0.01, gamma] <= 4e-7
+        assert 12 <= errors[0.02, gamma] / errors[0.01, gamma] <= 20  # 2^4 = 16
 
 
 def test_stationary_stop_matches_rk4_oracle(clamps):

@@ -293,9 +293,15 @@ def test_block_product_folds_the_scale_and_keeps_its_results():
     second = product(2.0 * x)  # reuses the scratch, not the first result
     np.testing.assert_array_equal(first, [[2.0, 4.0], [-1.0, 12.0]])
     np.testing.assert_array_equal(second, 2.0 * first)
-    for bad in (np.ones((2, 3)), np.ones((1, 2)), np.ones(4)):
+    for bad in (np.ones((2, 3)), np.ones((1, 2)), np.ones(4), np.ones(2)):
         with pytest.raises(ValueError, match="block has shape"):
             product(bad)
+    # One scale per row: each row as bound alone with its own scale; b = 1 also takes an n-vector.
+    rows = g.block_product(2, [0.5, 3.0])(x)
+    for k, scale in enumerate((0.5, 3.0)):
+        single = g.block_product(1, scale)
+        assert np.array_equal(rows[k], single(x[k : k + 1])[0])
+        assert np.array_equal(rows[k], single(x[k]))
 
 
 @given(sparse_graphs())
