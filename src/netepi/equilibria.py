@@ -63,7 +63,6 @@ class SirAsymptoticResult:
     residual: float  # max |H(s_inf) - s_inf|
     width: float  # max(u - l) of the enclosure l <= s(inf) <= u
     start: str  # 'zero': s_inf = l, 'upper': s_inf = u
-    warnings: tuple[str, ...] = ()
 
 
 def _gmres(apply, b, rtol):

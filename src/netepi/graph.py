@@ -9,17 +9,19 @@ A graph is stored as edge arrays (``rows``, ``cols``, ``weights``) in
 canonical row-major order, so every product with the adjacency matrix costs
 O(n + nnz). ``block_product`` is the one product: it binds A X for a
 lane-major (B, n) block of vectors once, and ``transpose`` gives the graph
-of A' for products with the transpose. The dense matrix is built only when
-``adjacency`` is read, and the strongly connected components only when
-``irreducible_parts`` is called; each graph caches the parts of the last
-support it was asked about, so one SCC pass serves every call on that support.
+of A' for products with the transpose. No dense matrix is ever built.
+
+``load_graph`` parses in bulk with numpy, and a line scan names bad lines.
+The strongly connected components are found only when ``irreducible_parts``
+is called, by a capped frontier search or else Tarjan's algorithm; each
+graph caches the parts of the last support it was asked about.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,19 @@ from .errors import EmptyInputError, GraphFormatError, InputError, ReducibleMatr
 # Largest node count or index load_graph accepts: the row-major sort keys
 # rows * n + cols of an n-node graph must fit in np.intp.
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
+
+# Rounds of one frontier search before irreducible_parts falls back to
+# Tarjan. Random contact graphs need few: over 50 roots of each seed-21
+# benchmark graph, both searches finished within 5 rounds at n = 20, 8 at
+# n = 500 and n = 1000, and 12 at n = 1e5 (ring plus 5n random edges). A
+# round that finds one node costs about 11 us (2-core VM, numpy 2.4), so
+# on a 20,000-node ring 64 rounds cost 0.7 ms before Tarjan's 5.7 ms.
+REACH_ROUNDS = 64
+
+# One edge-list data line for np.loadtxt: two integer indices and a weight.
+_EDGE_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])
+# ASCII characters where the line scan breaks lines and np.loadtxt sees blanks.
+_SCAN_ONLY = "\v\f\x1c\x1d\x1e"
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -110,14 +125,6 @@ class Graph:
         order = np.lexsort((self.rows, self.cols))
         return _edge_graph(self.n, self.cols[order], self.rows[order], self.weights[order])
 
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only dense n x n matrix, built on first access (small n, tests)."""
-        a = np.zeros((self.n, self.n))
-        a[self.rows, self.cols] = self.weights
-        a.setflags(write=False)
-        return a
-
     def irreducible_parts(self, live=None) -> list[tuple[np.ndarray, Graph]]:
         """(nodes, sub-graph) of each strongly connected component with an inner edge.
 
@@ -130,8 +137,10 @@ class Graph:
         diagonal, and are left out. The parts of the last support asked for
         are cached on this graph, so consecutive calls with one support, such
         as the blocks of an R(t) series between zero-set changes, build them
-        once. The cache holds None for this graph itself, so a graph never
-        refers to itself and is freed without the cycle collector.
+        once. A cache miss runs the frontier search of _spanning_part, and
+        Tarjan's algorithm only when that does not answer. The cache holds
+        None for this graph itself, so a graph never refers to itself and is
+        freed without the cycle collector.
         """
         support = self.weights > 0
         if live is not None:
@@ -139,31 +148,89 @@ class Graph:
         key = np.packbits(support).tobytes()
         if key not in self._parts:
             self._parts.clear()
-            # a[i, j] > 0 is an edge j -> i
-            labels = _scc_labels(self.n, self.cols[support], self.rows[support])
-            row_labels = labels[self.rows]
-            # Stable sorts group the nodes and the edges inside a component by
-            # label and keep their order within a group, so each sub-graph's
-            # edges stay row-major, and no part pays an O(n + nnz) mask.
-            by_label = np.argsort(labels, kind="stable")
-            first = np.concatenate(([0], np.cumsum(np.bincount(labels))))
-            local = np.empty(self.n, dtype=np.intp)  # each node's index in its part
-            local[by_label] = np.arange(self.n) - first[labels[by_label]]
-            inner = np.flatnonzero(support & (row_labels == labels[self.cols]))
-            inner = inner[np.argsort(row_labels[inner], kind="stable")]
-            counts = np.bincount(row_labels[inner], minlength=first.size - 1)
-            first_edge = np.concatenate(([0], np.cumsum(counts)))
-            parts = []
-            for c in np.flatnonzero(counts):
-                nodes = by_label[first[c] : first[c + 1]]
-                if nodes.size == self.n:
-                    parts.append((nodes, None))
-                    continue
-                edges = inner[first_edge[c] : first_edge[c + 1]]
-                rows, cols = local[self.rows[edges]], local[self.cols[edges]]
-                parts.append((nodes, _edge_graph(nodes.size, rows, cols, self.weights[edges])))
-            self._parts[key] = parts
+            parts = _spanning_part(self, support, live)
+            self._parts[key] = _component_parts(self, support) if parts is None else parts
         return [(nodes, self if sub is None else sub) for nodes, sub in self._parts[key]]
+
+
+def _spanning_part(g: Graph, support: np.ndarray, live) -> list | None:
+    """The cached parts of a support whose live nodes are strongly connected, else None.
+
+    Searches from the first live node along the support's edges between
+    live nodes, forward and backward, for at most REACH_ROUNDS rounds each.
+    When both searches reach every live node, those nodes are one component
+    and every other node is a single node without an inner edge, so the
+    parts are that one component, built as _component_parts would build it.
+    None means the search did not decide: the live nodes are not strongly
+    connected, or the rounds ran out.
+    """
+    inner = support if live is None else support & live[g.cols]
+    rows, cols = g.rows[inner], g.cols[inner]
+    if not rows.size:
+        return []
+    nodes = np.arange(g.n) if live is None else np.flatnonzero(live)
+    # a[i, j] > 0 is an edge j -> i: forward runs cols -> rows.
+    for tails, heads in ((cols, rows), (rows, cols)):
+        if _reached(g.n, tails, heads, nodes[0]) != nodes.size:
+            return None
+    if nodes.size == g.n:
+        return [(nodes, None)]
+    local = np.cumsum(live) - 1  # each live node's index among the live nodes
+    return [(nodes, _edge_graph(nodes.size, local[rows], local[cols], g.weights[inner]))]
+
+
+def _reached(n: int, tails: np.ndarray, heads: np.ndarray, root) -> int | None:
+    """Nodes reached from root along the edges tails[k] -> heads[k], or None.
+
+    One frontier search: each round gathers the out-edges of the nodes found
+    in the round before. None when REACH_ROUNDS rounds still find new nodes.
+    """
+    heads = heads[np.argsort(tails)]
+    first = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
+    seen = np.zeros(n, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    for _ in range(REACH_ROUNDS):
+        ends = first[frontier + 1]
+        counts = ends - first[frontier]
+        # The frontier's edge ranges, concatenated.
+        edges = np.repeat(ends - np.cumsum(counts), counts) + np.arange(counts.sum())
+        fresh = np.zeros(n, dtype=bool)
+        fresh[heads[edges]] = True
+        fresh &= ~seen
+        frontier = np.flatnonzero(fresh)
+        if not frontier.size:
+            return int(np.count_nonzero(seen))
+        seen |= fresh
+    return None
+
+
+def _component_parts(g: Graph, support: np.ndarray) -> list:
+    """The cached parts of any support, from one pass of Tarjan's algorithm."""
+    # a[i, j] > 0 is an edge j -> i
+    labels = _scc_labels(g.n, g.cols[support], g.rows[support])
+    row_labels = labels[g.rows]
+    # Stable sorts group the nodes and the edges inside a component by
+    # label and keep their order within a group, so each sub-graph's
+    # edges stay row-major, and no part pays an O(n + nnz) mask.
+    by_label = np.argsort(labels, kind="stable")
+    first = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    local = np.empty(g.n, dtype=np.intp)  # each node's index in its part
+    local[by_label] = np.arange(g.n) - first[labels[by_label]]
+    inner = np.flatnonzero(support & (row_labels == labels[g.cols]))
+    inner = inner[np.argsort(row_labels[inner], kind="stable")]
+    counts = np.bincount(row_labels[inner], minlength=first.size - 1)
+    first_edge = np.concatenate(([0], np.cumsum(counts)))
+    parts = []
+    for c in np.flatnonzero(counts):
+        nodes = by_label[first[c] : first[c + 1]]
+        if nodes.size == g.n:
+            parts.append((nodes, None))
+            continue
+        edges = inner[first_edge[c] : first_edge[c + 1]]
+        rows, cols = local[g.rows[edges]], local[g.cols[edges]]
+        parts.append((nodes, _edge_graph(nodes.size, rows, cols, g.weights[edges])))
+    return parts
 
 
 def _edge_graph(n, rows, cols, weights) -> Graph:
@@ -187,8 +254,93 @@ def load_graph(edge_list_text: str) -> Graph:
     a[i, j] = w. An optional header line ``n <count>`` fixes the node count;
     otherwise it is inferred as the largest index seen. Lines starting with
     '#' and blank lines are ignored. Duplicate (i, j) pairs are an error,
-    and so is a node count or index above MAX_NODES.
+    and so is a node count or index above MAX_NODES. The text is parsed in
+    bulk when it lies in the bulk parse's domain and passes its checks;
+    otherwise a line-by-line scan parses it or names its first bad line.
     """
+    g = _bulk_graph(edge_list_text)
+    return _scan_graph(edge_list_text) if g is None else g
+
+
+def _bulk_graph(text: str) -> Graph | None:
+    """The Graph of text from one np.loadtxt call and vectorized checks, or None.
+
+    None for text without a data line, text that fails a parse or a check,
+    and text where np.loadtxt may split lines or tokens unlike _scan_graph:
+    non-ASCII, a break from _SCAN_ONLY, a lone CR, or a '#' after other
+    text on its line. np.loadtxt reads numbers as int() and float() do or
+    rejects them ("1_0", and "1.0" as an index), so _scan_graph accepts
+    every text this accepts, with the same edges.
+    """
+    if (
+        not text.isascii()
+        or any(c in text for c in _SCAN_ONLY)
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
+    ):
+        return None
+    header, start = None, 0
+    while True:  # blank and '#' lines and at most one header, up to the first data line
+        if start == len(text):
+            return None
+        end = text.find("\n", start) + 1 or len(text)
+        parts = text[start:end].split()
+        if parts and parts[0][0] != "#":
+            if parts[0] != "n" or header is not None:
+                break
+            if len(parts) != 2:
+                return None
+            header = parts[1]
+        start = end
+    if _inline_hash(text, text.find("#", start)):
+        return None
+    n = MAX_NODES
+    if header is not None:
+        try:
+            n = int(header)
+        except ValueError:
+            return None
+        if not 1 <= n <= MAX_NODES:
+            return None
+    try:
+        edges = np.loadtxt(io.StringIO(text[start:]), dtype=_EDGE_ROW, comments="#", ndmin=1)
+    except ValueError:
+        return None
+    i, j, w = edges["i"], edges["j"], edges["w"]
+    top = int(max(i.max(), j.max()))
+    if min(i.min(), j.min()) < 1 or top > n or not np.all(np.isfinite(w) & (w > 0)):
+        return None
+    if header is None:
+        n = top
+    rows, cols = i - 1, j - 1
+    order, repeat = _row_major(n, rows, cols)
+    if repeat >= 0:
+        return None
+    return _edge_graph(n, rows[order], cols[order], w[order])
+
+
+def _row_major(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:
+    """The stable row-major order of the edges, and the first edge repeating a pair, or -1.
+
+    Every occurrence of a pair after its first sorts right behind an equal key.
+    """
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][np.diff(keys[order]) == 0]
+    return order, int(repeats.min()) if repeats.size else -1
+
+
+def _inline_hash(text: str, pos: int) -> bool:
+    """True if the first '#' of a line, from the '#' at pos on, follows other text on its line."""
+    while pos >= 0:
+        if text[text.rfind("\n", 0, pos) + 1 : pos].strip():
+            return True
+        end = text.find("\n", pos)
+        pos = -1 if end < 0 else text.find("#", end)
+    return False
+
+
+def _scan_graph(edge_list_text: str) -> Graph:
+    """load_graph's reference parse: one line at a time, naming the first bad line."""
     header_n = None
     rows, cols, weights, line_nos = [], [], [], []
     for line_no, raw in enumerate(edge_list_text.splitlines(), start=1):
@@ -243,13 +395,8 @@ def load_graph(edge_list_text: str) -> Graph:
         )
     n = header_n if header_n is not None else max_index
 
-    # Stable row-major sort; every occurrence of a pair after its first
-    # sorts right behind an equal key.
-    keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][np.diff(keys[order]) == 0]
-    if repeats.size:
-        k = repeats.min()
+    order, k = _row_major(n, rows, cols)
+    if k >= 0:
         raise GraphFormatError(
             f"line {line_nos[k]}: duplicate edge ({rows[k] + 1}, {cols[k] + 1})"
         )
@@ -281,8 +428,8 @@ def is_strongly_connected(g: Graph) -> bool:
     Equivalently, the adjacency matrix is irreducible, so every node has a
     positive in-edge (at n = 1, a positive self-loop): fewer positive edges
     than nodes answer False at once. Otherwise reads g.irreducible_parts(),
-    one O(n + nnz) pass cached on g: the graph is strongly connected when its
-    only part is g itself.
+    one pass cached on g, by frontier search or else Tarjan's algorithm: the
+    graph is strongly connected when its only part is g itself.
     """
     if np.count_nonzero(g.weights) < g.n:
         return False

@@ -62,8 +62,11 @@ SHIFT_FRACTION = 0.1
 #   n = 20,   101 samples:  3.9 / 2.4 / 2.0 / 2.0 / 2.0 ms
 #   n = 500,   11 samples:  7.7 / 6.5 / 5.4 / 5.4 / 5.1 ms
 #   n = 1000,  26 samples:  53.2 / 53.2 / 47.6 / 45.9 / 66.1 ms
-# against 33.7, 7.7 and 53.4 ms for one row per block.
-BLOCK_ENTRIES = 16384
+# against 33.7, 7.7 and 53.4 ms for one row per block. Two later rounds
+# of 16384 against 32768 (same setup) gave 46.9 / 46.9 against 45.4 / 45.3
+# ms at n = 1000, 5.57 / 5.41 against 5.50 / 5.35 ms at n = 500 and
+# 2.06 / 2.04 against 2.04 / 2.03 ms at n = 20.
+BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,8 @@ def spectral_radius(g: Graph, s) -> np.ndarray:
     warm-started from the one before took 31 to 113 products, only 14-23%
     fewer than from a uniform start. A block saves the per-product overhead
     instead: the 101 samples at n = 20 take 44 block products where one
-    iteration per sample took 3,547 products. A radius is the largest over
+    iteration per sample took 3,547 products, and at n = 1000 (5,966 edges)
+    a block holds 5 samples. A radius is the largest over
     the components, and 0 when every component is a single node without a
     self-loop. Returns the length-B array of radii.
     """

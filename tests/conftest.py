@@ -28,6 +28,13 @@ def rk4(f, y0, t_end, dt):
     return times, out
 
 
+def dense(g: Graph) -> np.ndarray:
+    """The dense n x n adjacency matrix of g, a[i, j] = weight of edge j -> i."""
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.cols] = g.weights
+    return a
+
+
 def dump_graph(g: Graph) -> str:
     """Serialize a Graph back to edge-list text (exact round trip).
 
@@ -112,17 +119,35 @@ def g20() -> Graph:
     return graph20()
 
 
+class SccPasses(list):
+    """Node counts of the passes made at irreducible_parts cache misses.
+
+    answers[k] names the search that answered pass k: 'frontier' when the
+    frontier search of graph._spanning_part did, 'tarjan' when it fell back.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.answers = []
+
+
 @pytest.fixture()
-def scc_passes(monkeypatch) -> list:
-    """Records the node count of every strongly-connected-component search."""
+def scc_passes(monkeypatch) -> SccPasses:
+    """Records every strongly-connected-component pass, frontier or Tarjan."""
     from netepi import graph
 
-    passes = []
-    search = graph._scc_labels
+    passes = SccPasses()
+    frontier, tarjan = graph._spanning_part, graph._component_parts
 
-    def counted(n, tails, heads):
-        passes.append(n)
-        return search(n, tails, heads)
+    def counted_frontier(g, support, live):
+        passes.append(g.n)
+        passes.answers.append("frontier")
+        return frontier(g, support, live)
 
-    monkeypatch.setattr(graph, "_scc_labels", counted)
+    def counted_tarjan(g, support):
+        passes.answers[-1] = "tarjan"
+        return tarjan(g, support)
+
+    monkeypatch.setattr(graph, "_spanning_part", counted_frontier)
+    monkeypatch.setattr(graph, "_component_parts", counted_tarjan)
     return passes

@@ -27,7 +27,7 @@ from netepi import (
     time_to_subthreshold,
 )
 
-from conftest import complete_graph, directed_ring, graph20, random_sc_graph, rk4, two_node
+from conftest import complete_graph, dense, directed_ring, graph20, random_sc_graph, rk4, two_node
 
 
 def _pass(num, msg):
@@ -245,7 +245,7 @@ def test_criterion_7_sir_conserved_quantities():
         t_end=25.0,
         record_every=10,  # dt left at its default
     )
-    weights = (beta / gamma) * (traj.r @ g.adjacency.T)
+    weights = (beta / gamma) * (traj.r @ dense(g).T)
     v = traj.s * np.exp(weights)
     drift = np.abs(v / v[0] - 1.0).max()
     assert drift <= 1e-6

@@ -601,6 +601,7 @@ def test_asymptotic_json(pair_graph, capsys):
     )
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"s_inf", "r_inf", "iterations", "residual", "width", "start"}
     assert doc["start"] == "upper"
     s_inf = np.array(doc["s_inf"])
     np.testing.assert_allclose(np.array(doc["r_inf"]), 1.0 - s_inf)

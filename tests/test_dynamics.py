@@ -25,7 +25,7 @@ from netepi import (
 )
 from netepi.graph import Graph
 
-from conftest import complete_graph, random_sc_graph, rk4, symmetric_pair, two_node
+from conftest import complete_graph, dense, random_sc_graph, rk4, symmetric_pair, two_node
 
 
 def test_params_validation():
@@ -240,7 +240,7 @@ def test_growth_approx_against_matrix_exponential():
     params = ModelParams("SI", 1.0)
     x0 = np.full(2, 1e-4)
     for t, bound in [(1.0, 1e-3), (2.0, 1e-6)]:
-        exact = expm(params.beta * g.adjacency * t) @ x0
+        exact = expm(params.beta * dense(g) * t) @ x0
         approx = initial_growth_approx(g, params, x0, t)
         rel = np.abs(approx - exact).max() / np.abs(exact).max()
         assert rel < bound
@@ -400,7 +400,7 @@ def test_integrate_matches_rk4_oracle(kind, gammas, clamps):
     runs = integrate(state0, batch, g, t_end=t_end, dt=dt, record_every=1)
     assert not clamps
     for params, run in zip(batch, runs):
-        times, s, x, r = _oracle(kind, beta, params.gamma, g.adjacency, state0, t_end, dt)
+        times, s, x, r = _oracle(kind, beta, params.gamma, dense(g), state0, t_end, dt)
         np.testing.assert_array_equal(run.times, times)
         for got, want in ((run.s, s), (run.x, x), (run.r, r)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
@@ -424,7 +424,7 @@ def test_sir_sweep_matches_solve_ivp_on_the_paper_field():
 
             def paper(t, y, gamma=gamma):
                 s, x = y[:n], y[n : 2 * n]
-                flow = beta * s * (g.adjacency @ x)
+                flow = beta * s * (dense(g) @ x)
                 return np.concatenate((-flow, flow - gamma * x, gamma * x))
 
             y0 = np.concatenate((state0.s, state0.x, state0.r))
@@ -447,7 +447,7 @@ def test_stationary_stop_matches_rk4_oracle(clamps):
     assert traj.times[-1] < t_end and traj.x[-1].max() < 1e-9
     steps = round(traj.times[-1] / dt)
     assert traj.times[-1] == steps * dt and steps % 7 != 0  # the stop adds a row of its own
-    times, _, x, _ = _oracle("SIS", beta, gamma, g.adjacency, state0, traj.times[-1], dt)
+    times, _, x, _ = _oracle("SIS", beta, gamma, dense(g), state0, traj.times[-1], dt)
     assert times[-1] == traj.times[-1]
     np.testing.assert_allclose(traj.x, x[np.round(traj.times / dt).astype(int)], rtol=0, atol=1e-13)
 

@@ -19,7 +19,7 @@ from netepi import (
 )
 from netepi.equilibria import sis_bracket_start
 
-from conftest import complete_graph, directed_ring, random_sc_graph, symmetric_pair, two_node
+from conftest import complete_graph, dense, directed_ring, random_sc_graph, symmetric_pair, two_node
 
 SLACK = 1e-12
 # Roundoff of the dense Newton references below, which the certified
@@ -39,7 +39,7 @@ def _dense_newton(f, jacobian, y):
 
 def _sis_reference(g, beta, gamma):
     """From the all-ones vector, above the endemic state, so never to 0."""
-    m = (beta / gamma) * g.adjacency
+    m = (beta / gamma) * dense(g)
 
     def f(y):
         z = m @ y
@@ -49,7 +49,7 @@ def _sis_reference(g, beta, gamma):
 
 
 def _sir_reference(g, beta, gamma, s0, r0):
-    m = (beta / gamma) * g.adjacency
+    m = (beta / gamma) * dense(g)
 
     def h(y):
         return s0 * np.exp(m @ (y - 1.0 + r0))
@@ -262,7 +262,7 @@ def test_sir_bracket_sequences():
 def test_sir_fixed_point_satisfies_conserved_equation():
     g, beta, gamma, s0, x0, r0 = _sir_setup(seed=5, r0_frac=0.1)
     res = sir_asymptotic(g, beta, gamma, s0, x0, r0)
-    a = g.adjacency
+    a = dense(g)
     rebuilt = s0 * np.exp(-(beta / gamma) * (a @ (1.0 - r0))) * np.exp(
         (beta / gamma) * (a @ res.s_inf)
     )

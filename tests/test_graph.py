@@ -5,13 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netepi import (
     EmptyInputError,
     GraphFormatError,
     ModelParams,
+    NetEpiError,
     degree_vector,
     dominant_eig,
     graph_from_rows,
@@ -20,21 +21,30 @@ from netepi import (
     is_strongly_connected,
     load_graph,
 )
+from netepi import graph
 from netepi.graph import MAX_NODES, Graph
 
-from conftest import complete_graph, directed_ring, dump_graph, symmetric_pair, two_node
+from conftest import (
+    complete_graph,
+    dense,
+    directed_ring,
+    dump_graph,
+    random_sc_graph,
+    symmetric_pair,
+    two_node,
+)
 
 
 def test_load_two_node_pair():
     g = load_graph("1 2 1.0\n2 1 1.0")
-    np.testing.assert_array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(dense(g), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_load_directed_three_cycle():
     # "i j w" sets a_ij: the influence of j on i.
     g = load_graph("1 2 1\n2 3 1\n3 1 1")
     np.testing.assert_array_equal(
-        g.adjacency, [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+        dense(g), [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     )
 
 
@@ -48,7 +58,7 @@ def test_load_empty_input():
 def test_load_header_and_comments():
     g = load_graph("# contact net\nn 3\n1 2 0.5\n2 1 2.5\n")
     assert g.n == 3
-    assert g.adjacency[0, 1] == 0.5
+    assert dense(g)[0, 1] == 0.5
     assert not is_strongly_connected(g)  # node 3 is isolated
 
 
@@ -121,7 +131,7 @@ def test_degree_vector_examples():
 
 def test_round_trip_exact():
     g = two_node()
-    assert np.array_equal(load_graph(dump_graph(g)).adjacency, g.adjacency)
+    assert np.array_equal(dense(load_graph(dump_graph(g))), dense(g))
 
 
 @st.composite
@@ -145,7 +155,7 @@ def edge_lists(draw):
 def test_round_trip_property(text):
     g = load_graph(text)
     g2 = load_graph(dump_graph(g))
-    assert np.array_equal(g.adjacency, g2.adjacency)
+    assert np.array_equal(dense(g), dense(g2))
 
 
 def _closure(a: np.ndarray) -> np.ndarray:
@@ -181,18 +191,69 @@ def test_strong_connectivity_matches_brute_force(n, data):
 def test_irreducible_parts_match_mutual_reachability(n, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
     a = np.array(bits, dtype=float).reshape(n, n)
+    mask = data.draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    live = None if mask is None else np.array(mask)
+    if live is not None:
+        a *= live[:, None]  # the support of diag(s) A keeps the edges into live nodes
     reach = _closure(a) | np.eye(n, dtype=bool)
     classes = {tuple(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(n)}
     # Only a single node without a self-loop lacks an inner edge.
     expected = sorted(c for c in classes if len(c) > 1 or a[c[0], c[0]] > 0)
-    parts = Graph(a).irreducible_parts()
+    g = Graph(np.array(bits, dtype=float).reshape(n, n))
+    parts = g.irreducible_parts(live)
     assert sorted(tuple(nodes.tolist()) for nodes, _ in parts) == expected
     for nodes, sub in parts:
-        np.testing.assert_array_equal(sub.adjacency, a[np.ix_(nodes, nodes)])
+        np.testing.assert_array_equal(dense(sub), a[np.ix_(nodes, nodes)])
+    # Where the frontier search answers, its part is Tarjan's, array for array.
+    support = (g.weights > 0) & (True if live is None else live[g.rows])
+    spanning = graph._spanning_part(g, support, live)
+    if spanning is not None:
+        tarjan = graph._component_parts(g, support)
+        assert len(spanning) == len(tarjan)
+        for (nodes, sub), (t_nodes, t_sub) in zip(spanning, tarjan):
+            assert nodes.dtype == t_nodes.dtype and np.array_equal(nodes, t_nodes)
+            assert (sub is None) == (t_sub is None)
+            if sub is not None:
+                assert sub.n == t_sub.n
+                for name in ("rows", "cols", "weights"):
+                    x, y = getattr(sub, name), getattr(t_sub, name)
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_strongly_connected_supports_skip_tarjan(scc_passes):
+    g = random_sc_graph(np.random.default_rng(5), n=30)
+    assert is_strongly_connected(g)
+    live = np.ones(30, dtype=bool)
+    live[7] = False  # an SIR seed node: s = 0 there
+    ((nodes, sub),) = g.irreducible_parts(live)
+    assert scc_passes == [30, 30] and scc_passes.answers == ["frontier", "frontier"]
+    np.testing.assert_array_equal(nodes, np.flatnonzero(live))
+    np.testing.assert_array_equal(dense(sub), dense(g)[np.ix_(nodes, nodes)])
+
+
+def test_frontier_rounds_are_capped():
+    for n, answer in ((graph.REACH_ROUNDS, "frontier"), (graph.REACH_ROUNDS + 1, "tarjan")):
+        # A ring of n nodes takes n - 1 rounds to reach every node and one to see no more.
+        ring = load_graph(_ring_text(n))
+        support = ring.weights > 0
+        assert (graph._spanning_part(ring, support, None) is None) == (answer == "tarjan")
+        assert is_strongly_connected(ring)
+
+
+def test_long_ring_exhausts_the_frontier_cap(scc_passes):
+    times = []
+    for _ in range(3):
+        ring = load_graph(_ring_text(20_000))  # fresh: the parts are cached
+        start = time.perf_counter()
+        assert is_strongly_connected(ring)
+        times.append(time.perf_counter() - start)
+    assert scc_passes.answers == ["tarjan"] * 3
+    # The REACH_ROUNDS rounds the search wastes cost about a tenth of Tarjan's pass.
+    assert min(times) < 0.25
 
 
 def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
-    a = directed_ring(4).adjacency.copy()
+    a = dense(directed_ring(4))
     a[2, 0] = 1.0  # chord 0 -> 2: with ring edge 0 -> 1 zeroed, 4 positive edges remain
     g = Graph(a)  # edges in order (0, 3), (1, 0), (2, 0), (2, 1), (3, 2)
     assert is_strongly_connected(g)
@@ -260,9 +321,9 @@ def test_block_product_matches_dense_products(g, data):
     x = np.array(
         data.draw(st.lists(st.floats(-1.0, 1.0), min_size=g.n, max_size=g.n))
     )
-    a = g.adjacency
+    a = dense(g)
     t = g.transpose()
-    np.testing.assert_array_equal(t.adjacency, a.T)
+    np.testing.assert_array_equal(dense(t), a.T)
     # Only the summation order differs from the dense product.
     eps = g.n * np.finfo(float).eps
     assert np.all(np.abs(g.block_product(1)(x[None])[0] - a @ x) <= eps * (a @ np.abs(x)))
@@ -319,18 +380,101 @@ def test_dump_load_round_trip_sparse(g):
 
 def test_with_weights_and_dense_view():
     g = two_node()
-    np.testing.assert_array_equal(g.with_weights([4.0, 1.0]).adjacency, [[0.0, 4.0], [1.0, 0.0]])
+    np.testing.assert_array_equal(dense(g.with_weights([4.0, 1.0])), [[0.0, 4.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         g.with_weights([1.0])
     with pytest.raises(GraphFormatError):
         g.with_weights([1.0, -1.0])
-    with pytest.raises(ValueError):
-        g.adjacency[0, 0] = 1.0  # the dense view is read-only
 
 
 def test_duplicate_edge_reports_first_repeat_line():
     with pytest.raises(GraphFormatError, match="line 4: duplicate edge \\(2, 1\\)"):
         load_graph("1 2 1\n2 1 1\n1 1 1\n2 1 3\n1 2 5\n")
+
+
+# Odd forms by the slot they take in an edge line [lead, i, blank, j, blank, w, tail].
+_ODD_TOKENS = {
+    (1, 3): ["+1", "01", "1_0", "1.0", "-1", "0", "\u0661", str(MAX_NODES + 1), "9" * 20],
+    (5,): ["1_0", "nan", "inf", "-inf", "0", "-0", "1e-400", "5e-324", ".5", "+2"],
+    (2, 4): ["\xa0", "\u2003", "\x1f", "\x0c", "\x0b", "\r"],  # non-ASCII, or ASCII line breaks
+    (6,): [" # note", "#x", " 4", "\u2028# x"],
+}
+_ODD_LINES = ["n 0", "n x", "n +3", "n 3 4", "n", "n 9", "  # indented", "\u2028"]
+_ODD_ENDS = ["\r", "\u2028", "\x0b", "\x1c"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Well-formed edge-list text with at most one odd form put in.
+
+    The odd forms are those the bulk parse and the line scan could read
+    differently. One per text, so it is not hidden behind another error.
+    Duplicate edges still come up among indices up to 7.
+    """
+    index = st.integers(1, 7).map(str)
+    weight = st.floats(min_value=5e-324, max_value=1e300).map(repr)
+    blank = st.sampled_from([" ", "  ", "\t", " \t "])
+    lead = st.sampled_from(["", " ", "\t"])
+    edge = st.tuples(lead, index, blank, index, blank, weight, st.sampled_from(["", " ", "\t"]))
+    comment = st.tuples(lead, st.sampled_from(["#", "# note", "## a # b", "#1 2 3"])).map("".join)
+    other = comment | st.sampled_from(["", " ", "\t "])
+    lines = [draw(st.sampled_from(["n 7", "n 8", " n\t7 "]))] if draw(st.booleans()) else []
+    lines += draw(st.lists(edge.map(list) | other, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    edges = [k for k, line in enumerate(lines) if isinstance(line, list)]
+    odd = draw(st.sampled_from([None, "token", "token", "line", "end"]))
+    if odd == "token" and edges:
+        slots = draw(st.sampled_from(list(_ODD_TOKENS)))
+        lines[draw(st.sampled_from(edges))][draw(st.sampled_from(slots))] = draw(
+            st.sampled_from(_ODD_TOKENS[slots])
+        )
+    elif odd == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_ODD_LINES)))
+        ends.append("\n")
+    elif odd == "end" and lines:
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_ODD_ENDS))
+    text = "".join(
+        ("".join(line) if isinstance(line, list) else line) + end for line, end in zip(lines, ends)
+    )
+    return text + draw(st.sampled_from(["", "1 2 1"]))
+
+
+def _edges(g: Graph) -> tuple:
+    return g.n, g.rows.dtype, g.rows.tolist(), g.cols.tolist(), g.weights.view(np.uint64).tolist()
+
+
+def _outcome(parse, text) -> tuple:
+    try:
+        return _edges(parse(text))
+    except NetEpiError as e:
+        return type(e), str(e)
+
+
+@given(edge_list_texts())
+@settings(max_examples=500)
+@example("1.0 2 1\n2 1 1\n")
+@example("n 3\n1 2 1\n2 1 1_0\n# c\r\n3 1 1 # note\n")
+@example("1 2 1\n2 1 1\n1 2 0.5\n")
+@example("# c\r1 2 1\n2 1 1\n")
+@example("1 2\x0c1\n2 1 1\n")
+def test_bulk_parse_agrees_with_the_line_scan(text):
+    scan = _outcome(graph._scan_graph, text)
+    bulk = graph._bulk_graph(text)
+    if bulk is not None:  # what the bulk path accepts, the scan accepts with equal arrays
+        assert _edges(bulk) == scan
+    assert _outcome(load_graph, text) == scan
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1 2 1\n2 1 0.5\n",
+        "# contact net\n\n  # indented\nn 3\n\t\n1\t2 1e-3\r\n2 1 2.5  \n# end # x\n3 1 1",
+    ],
+)
+def test_bulk_parse_takes_comments_blank_lines_crlf_and_tabs(text):
+    g = graph._bulk_graph(text)
+    assert g is not None and _edges(g) == _outcome(graph._scan_graph, text)
 
 
 def _ring_text(n: int, skip_first: bool = False) -> str:

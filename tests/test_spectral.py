@@ -13,7 +13,7 @@ from netepi import (
 )
 from netepi.spectral import DEFAULT_TOL
 
-from conftest import complete_graph, directed_ring, random_sc_graph, symmetric_pair, two_node
+from conftest import complete_graph, dense, directed_ring, random_sc_graph, symmetric_pair, two_node
 
 TOL = 1e-12
 
@@ -44,7 +44,7 @@ def test_complete_graph_regular():
 def test_two_node_hand_solve():
     # Hand eigen-solve: A u = 4 u for u = (1/3, 2/3), v'A = 4 v' for v = (2/3, 1/3).
     g = two_node()
-    a = g.adjacency
+    a = dense(g)
     np.testing.assert_allclose(a @ [1 / 3, 2 / 3], 4.0 * np.array([1 / 3, 2 / 3]))
     np.testing.assert_allclose(np.array([2 / 3, 1 / 3]) @ a, 4.0 * np.array([2 / 3, 1 / 3]))
     trip = dominant_eig(g)
@@ -56,7 +56,7 @@ def test_two_node_hand_solve():
 def test_residual_invariants_and_normalization():
     for seed in range(5):
         g = random_sc_graph(np.random.default_rng(seed), n=8)
-        a = g.adjacency
+        a = dense(g)
         trip = dominant_eig(g)
         lam = trip.lambda_max
         assert np.abs(a @ trip.u_max - lam * trip.u_max).max() <= TOL * lam
@@ -70,7 +70,7 @@ def test_agrees_with_dense_eigensolver():
     for seed in range(10):
         g = random_sc_graph(np.random.default_rng(100 + seed), n=6)
         lam = dominant_eig(g).lambda_max
-        rho = np.abs(np.linalg.eigvals(g.adjacency)).max()
+        rho = np.abs(np.linalg.eigvals(dense(g))).max()
         assert abs(lam - rho) <= 10 * TOL * rho
 
 
@@ -79,7 +79,7 @@ def test_width_certifies_the_eigenvalue(n):
     for seed in range(5):
         g = random_sc_graph(np.random.default_rng(200 + seed), n=n, density=min(0.3, 5 / n))
         trip = dominant_eig(g)
-        rho = _dense_radius(g.adjacency)
+        rho = _dense_radius(dense(g))
         assert 0 <= trip.width <= 2 * DEFAULT_TOL * trip.lambda_max
         # eigvals itself is off by a few ulps of rho
         assert abs(trip.lambda_max - rho) <= trip.width + 1e-14 * rho
@@ -131,7 +131,7 @@ def _block_triangular(rng, sizes):
     start = 0
     for size in sizes:
         block = slice(start, start + size)
-        a[block, block] = random_sc_graph(rng, n=size).adjacency if size > 1 else 0.0
+        a[block, block] = dense(random_sc_graph(rng, n=size)) if size > 1 else 0.0
         start += size
     if rng.random() < 0.5:
         a[0, 0] = rng.uniform(0.1, 2.0)  # a single node with a self-loop counts too
@@ -151,8 +151,8 @@ def test_radius_of_block_triangular_matrices(seed):
 
 def test_radius_of_disjoint_cycles_with_equal_radius():
     a = np.zeros((7, 7))
-    a[:3, :3] = directed_ring(3, weight=2.0).adjacency
-    a[3:, 3:] = directed_ring(4, weight=2.0).adjacency
+    a[:3, :3] = dense(directed_ring(3, weight=2.0))
+    a[3:, 3:] = dense(directed_ring(4, weight=2.0))
     a[3, 0] = 5.0  # a one-way edge between the cycles keeps them separate
     lam = _radius(Graph(a))
     assert abs(lam - 2.0) <= 2 * DEFAULT_TOL * 2.0
@@ -164,7 +164,7 @@ def test_radius_with_zeros_in_the_state(seed):
     g = random_sc_graph(rng, n=30, density=0.1)
     s = rng.uniform(0.0, 1.0, 30)
     s[rng.choice(30, size=1 + seed * 3, replace=False)] = 0.0
-    rho = _dense_radius(s[:, None] * g.adjacency)
+    rho = _dense_radius(s[:, None] * dense(g))
     lam = _radius(effective_matrix(s, g))
     assert abs(lam - rho) <= 2 * DEFAULT_TOL * rho
 
@@ -177,7 +177,7 @@ def test_radius_of_a_state_block_matches_single_states():
     lam = spectral_radius(g, s=s)
     assert lam.shape == (6,)
     for k in range(6):
-        rho = _dense_radius(s[k][:, None] * g.adjacency)
+        rho = _dense_radius(s[k][:, None] * dense(g))
         assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
     for bad in (s[:, :24], s[:0], s.ravel(), np.where(s > 0.5, np.nan, s), s + 0.5):
         with pytest.raises(InputError):
@@ -186,7 +186,7 @@ def test_radius_of_a_state_block_matches_single_states():
     mixed[2, 0] = 0.0  # a second zero set
     lam = spectral_radius(g, s=mixed)
     for k in range(6):
-        rho = _dense_radius(mixed[k][:, None] * g.adjacency)
+        rho = _dense_radius(mixed[k][:, None] * dense(g))
         assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
 
 
@@ -209,10 +209,10 @@ def test_radius_boundary_states():
 
 def test_effective_matrix():
     g = two_node()
-    np.testing.assert_array_equal(effective_matrix(np.ones(2), g).adjacency, g.adjacency)
-    np.testing.assert_array_equal(effective_matrix(np.zeros(2), g).adjacency, np.zeros((2, 2)))
+    np.testing.assert_array_equal(dense(effective_matrix(np.ones(2), g)), dense(g))
+    np.testing.assert_array_equal(dense(effective_matrix(np.zeros(2), g)), np.zeros((2, 2)))
     np.testing.assert_array_equal(
-        effective_matrix(np.array([0.5, 1.0]), g).adjacency, [[0.0, 1.0], [8.0, 0.0]]
+        dense(effective_matrix(np.array([0.5, 1.0]), g)), [[0.0, 1.0], [8.0, 0.0]]
     )
     with pytest.raises(ValueError):
         effective_matrix(np.array([0.5, 1.5]), g)

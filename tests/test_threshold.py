@@ -19,7 +19,7 @@ from netepi import (
 from netepi import spectral
 from netepi.spectral import DEFAULT_TOL
 
-from conftest import complete_graph, random_sc_graph, symmetric_pair, two_node
+from conftest import complete_graph, dense, random_sc_graph, symmetric_pair, two_node
 
 
 def test_reproduction_number_examples():
@@ -48,7 +48,7 @@ def test_scale_covariance():
     g = random_sc_graph(rng, n=6)
     base = reproduction_number(g, 0.7, 1.3).r0
     for c in (0.5, 2.0, 7.5):
-        scaled = reproduction_number(Graph(c * g.adjacency), 0.7, 1.3).r0
+        scaled = reproduction_number(Graph(c * dense(g)), 0.7, 1.3).r0
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_series_matches_dense_eigensolver():
     traj = _sir_run(g, beta, gamma, np.full(6, 0.05), t_end=10.0)
     _, values = effective_r_series(traj, g, beta, gamma)
     for k in range(0, len(traj), 17):
-        m = traj.s[k][:, None] * g.adjacency
+        m = traj.s[k][:, None] * dense(g)
         rho = np.abs(np.linalg.eigvals(m)).max()
         assert values[k] == pytest.approx(beta * rho / gamma, abs=1e-9)
 
@@ -96,7 +96,7 @@ def test_seed_node_series_is_certified(seed):
     traj = _sir_run(g, beta, gamma, x0, t_end=20.0, dt=0.04, record_every=20)
     _, values = effective_r_series(traj, g, beta, gamma)
     for k in range(len(traj)):
-        rho = np.abs(np.linalg.eigvals(traj.s[k][:, None] * g.adjacency)).max()
+        rho = np.abs(np.linalg.eigvals(traj.s[k][:, None] * dense(g))).max()
         exact = beta * rho / gamma
         assert abs(values[k] - exact) <= 2e-12 * exact
 
@@ -143,7 +143,7 @@ def test_block_series_is_certified_across_a_zero_set_change(monkeypatch, width, 
     _, values = effective_r_series(traj, g, 1.0, 1.0)
     assert len(blocks) == calls and sum(blocks) == 9
     for k in range(9):
-        rho = np.abs(np.linalg.eigvals(s[k][:, None] * g.adjacency)).max()
+        rho = np.abs(np.linalg.eigvals(s[k][:, None] * dense(g))).max()
         single = spectral_radius(effective_matrix(s[k], g), np.ones((1, 15)))[0]
         assert abs(values[k] - rho) <= 2 * DEFAULT_TOL * rho
         assert abs(values[k] - single) <= 2 * DEFAULT_TOL * rho
@@ -162,7 +162,7 @@ def test_critical_exactly_when_the_enclosure_holds_one(scale):
         assert (report.classification == "critical") == holds_one
         if not holds_one:
             assert report.classification == ("above" if low > 1.0 else "below")
-            rho = np.abs(np.linalg.eigvals(g.adjacency)).max()
+            rho = np.abs(np.linalg.eigvals(dense(g))).max()
             assert (beta * rho / gamma > 1.0) == (report.classification == "above")
 
 
