@@ -13,7 +13,8 @@ of A' for products with the transpose. No dense matrix is ever built.
 
 ``load_graph`` parses in bulk with numpy, and a line scan names bad lines.
 The strongly connected components are found only when ``irreducible_parts``
-is called, by a capped frontier search or else Tarjan's algorithm; each
+is called: a capped edge sweep from one node settles a strongly connected
+support, and Tarjan's algorithm finds the components of any other; each
 graph caches the parts of the last support it was asked about.
 """
 
@@ -31,12 +32,17 @@ from .errors import EmptyInputError, GraphFormatError, InputError, ReducibleMatr
 # rows * n + cols of an n-node graph must fit in np.intp.
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max)
 
-# Rounds of one frontier search before irreducible_parts falls back to
-# Tarjan. Random contact graphs need few: over 50 roots of each seed-21
-# benchmark graph, both searches finished within 5 rounds at n = 20, 8 at
-# n = 500 and n = 1000, and 12 at n = 1e5 (ring plus 5n random edges). A
-# round that finds one node costs about 11 us (2-core VM, numpy 2.4), so
-# on a 20,000-node ring 64 rounds cost 0.7 ms before Tarjan's 5.7 ms.
+# Rounds of one edge sweep before irreducible_parts falls back to Tarjan.
+# A round costs O(nnz), and a sweep takes one round more than the largest
+# distance from its root. Over 50 roots of each seed-21 benchmark graph,
+# both sweeps ended within 5 rounds at n = 20, 8 at n = 500 and n = 1000,
+# and 11 at n = 1e5 (ring plus 5n random edges), where the two sweeps took
+# 0.04, 0.2, 0.4 and 29 ms against 0.1, 1.5, 2.8 and 390 ms for Tarjan's
+# pass (2-core VM, numpy 2.4). Where the rounds run out, they are wasted
+# before Tarjan: 1.4 ms before 10.5 ms on a 20,000-node ring, and 35 ms
+# before 152 ms at n = 1e5 on a ring with 5 chords per node to nodes 2 to
+# 11 ahead, so 64 rounds cost at most about a fifth of the pass they
+# precede.
 REACH_ROUNDS = 64
 
 # One edge-list data line for np.loadtxt: two integer indices and a weight.
@@ -74,14 +80,6 @@ class Graph:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
-
-    def with_weights(self, weights) -> Graph:
-        """The same edges with new nonnegative weights, one per edge."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != self.weights.shape:
-            raise InputError(f"need {self.nnz} weights, got shape {weights.shape}")
-        _check_weights(weights)
-        return _edge_graph(self.n, self.rows, self.cols, weights)
 
     @property
     def nnz(self) -> int:
@@ -135,10 +133,11 @@ class Graph:
         nodes in order; a component of all n nodes is this graph itself.
         Components without an inner edge are single nodes with a zero
         diagonal, and are left out. The parts of the last support asked for
-        are cached on this graph, so consecutive calls with one support, such
-        as the blocks of an R(t) series between zero-set changes, build them
-        once. A cache miss runs the frontier search of _spanning_part, and
-        Tarjan's algorithm only when that does not answer. The cache holds
+        are cached on this graph, so a repeated question is answered once:
+        the connectivity checks of the CLI and of sir_asymptotic, or
+        dominant_eig's check and then an R(t) series whose nodes are all
+        live. A cache miss runs the edge sweeps of _spanning_part, and
+        Tarjan's algorithm only when they do not answer. The cache holds
         None for this graph itself, so a graph never refers to itself and is
         freed without the cycle collector.
         """
@@ -156,12 +155,12 @@ class Graph:
 def _spanning_part(g: Graph, support: np.ndarray, live) -> list | None:
     """The cached parts of a support whose live nodes are strongly connected, else None.
 
-    Searches from the first live node along the support's edges between
-    live nodes, forward and backward, for at most REACH_ROUNDS rounds each.
-    When both searches reach every live node, those nodes are one component
+    Sweeps from the first live node along the support's edges between live
+    nodes, forward and backward, for at most REACH_ROUNDS rounds each.
+    When both sweeps reach every live node, those nodes are one component
     and every other node is a single node without an inner edge, so the
     parts are that one component, built as _component_parts would build it.
-    None means the search did not decide: the live nodes are not strongly
+    None means the sweeps did not decide: the live nodes are not strongly
     connected, or the rounds ran out.
     """
     inner = support if live is None else support & live[g.cols]
@@ -182,26 +181,24 @@ def _spanning_part(g: Graph, support: np.ndarray, live) -> list | None:
 def _reached(n: int, tails: np.ndarray, heads: np.ndarray, root) -> int | None:
     """Nodes reached from root along the edges tails[k] -> heads[k], or None.
 
-    One frontier search: each round gathers the out-edges of the nodes found
-    in the round before. None when REACH_ROUNDS rounds still find new nodes.
+    An edge-centric sweep (Roy, Mihailovic and Zwaenepoel, X-Stream, 2013):
+    each round marks the heads of all edges whose tails are marked, so round
+    d marks the nodes at distance d. The search ends at the first round that
+    marks no new node, and gives None when REACH_ROUNDS rounds all did.
+    Once more than half the nodes are marked, each round also drops the
+    edges into marked nodes, which can mark nothing more.
     """
-    heads = heads[np.argsort(tails)]
-    first = np.concatenate(([0], np.cumsum(np.bincount(tails, minlength=n))))
     seen = np.zeros(n, dtype=bool)
     seen[root] = True
-    frontier = np.array([root])
+    count = 1
     for _ in range(REACH_ROUNDS):
-        ends = first[frontier + 1]
-        counts = ends - first[frontier]
-        # The frontier's edge ranges, concatenated.
-        edges = np.repeat(ends - np.cumsum(counts), counts) + np.arange(counts.sum())
-        fresh = np.zeros(n, dtype=bool)
-        fresh[heads[edges]] = True
-        fresh &= ~seen
-        frontier = np.flatnonzero(fresh)
-        if not frontier.size:
-            return int(np.count_nonzero(seen))
-        seen |= fresh
+        seen[heads[seen[tails]]] = True
+        count, last = int(np.count_nonzero(seen)), count
+        if count == last:
+            return count
+        if 2 * count > n:
+            fresh = ~seen[heads]
+            tails, heads = tails[fresh], heads[fresh]
     return None
 
 
@@ -428,7 +425,7 @@ def is_strongly_connected(g: Graph) -> bool:
     Equivalently, the adjacency matrix is irreducible, so every node has a
     positive in-edge (at n = 1, a positive self-loop): fewer positive edges
     than nodes answer False at once. Otherwise reads g.irreducible_parts(),
-    one pass cached on g, by frontier search or else Tarjan's algorithm: the
+    one pass cached on g, by edge sweeps or else Tarjan's algorithm: the
     graph is strongly connected when its only part is g itself.
     """
     if np.count_nonzero(g.weights) < g.n:

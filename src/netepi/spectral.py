@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .graph import Graph, degree_vector, require_strongly_connected
+from .graph import Graph, _edge_graph, degree_vector, require_strongly_connected
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -170,16 +170,17 @@ def spectral_radius(g: Graph, s) -> np.ndarray:
     SCC pass. Each such run is cut into blocks of max(1, BLOCK_ENTRIES //
     nnz) rows, and each block is one block power iteration per component in
     which every row stops on its own certificate, DEFAULT_TOL relative as in
-    dominant_eig. Every row of a block starts from the last row's
-    eigenvector in the block before; the first block starts uniform. Warm
-    starts do not make a row cheap: on the benchmark inputs a sample
-    warm-started from the one before took 31 to 113 products, only 14-23%
-    fewer than from a uniform start. A block saves the per-product overhead
-    instead: the 101 samples at n = 20 take 44 block products where one
-    iteration per sample took 3,547 products, and at n = 1000 (5,966 edges)
-    a block holds 5 samples. A radius is the largest over
-    the components, and 0 when every component is a single node without a
-    self-loop. Returns the length-B array of radii.
+    dominant_eig. Each run's first block starts uniform, and every row of a
+    later block starts from the last row's eigenvector on its component in
+    the block before, so the radii of a series are those of its runs taken
+    one at a time, bit for bit. Warm starts do not make a row cheap: on the
+    benchmark inputs a sample warm-started from the one before took 31 to
+    113 products, only 14-23% fewer than from a uniform start. A block
+    saves the per-product overhead instead: the 101 samples at n = 20 take
+    44 block products where one iteration per sample took 3,547 products,
+    and at n = 1000 (5,966 edges) a block holds 5 samples. A radius is the
+    largest over the components, and 0 when every component is a single
+    node without a self-loop. Returns the length-B array of radii.
     """
     block = np.asarray(s, dtype=float)
     if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != g.n:
@@ -190,35 +191,23 @@ def spectral_radius(g: Graph, s) -> np.ndarray:
     live = block > 0
     changes = np.flatnonzero(np.any(live[1:] != live[:-1], axis=1)) + 1
     edges = [0, *changes.tolist(), len(block)]
-    radius, vec = np.zeros(len(block)), None
+    radius = np.zeros(len(block))
     for first, end in zip(edges, edges[1:]):
         parts = g.irreducible_parts(live[first])
+        starts = [_uniform(nodes.size) for nodes, _ in parts]
         for lo in range(first, end, width):
             hi = min(lo + width, end)
-            out, last = radius[lo:hi], np.zeros(g.n)
-            for nodes, sub in parts:
+            out = radius[lo:hi]
+            for k, (nodes, sub) in enumerate(parts):
                 scale = block[lo:hi, nodes]
-                x = np.tile(_component_start(vec, nodes), (hi - lo, 1))
+                x = np.tile(starts[k] / starts[k].sum(), (hi - lo, 1))
                 product = sub.block_product(hi - lo)
                 lam, x, _ = _power_iteration(
                     lambda y: scale * product(y), _shift(scale * degree_vector(sub)), DEFAULT_TOL, x
                 )
                 np.maximum(out, lam, out=out)
-                last[nodes] = x[-1]
-            vec = last
+                starts[k] = x[-1]
     return radius
-
-
-def _component_start(start, nodes: np.ndarray) -> np.ndarray:
-    """Positive unit-1-norm start on nodes, taken from start where it has weight there."""
-    x = _uniform(nodes.size) if start is None else start[nodes]
-    if not x.sum() > 0:
-        return _uniform(nodes.size)
-    x = x / x.sum()
-    if np.any(x == 0):
-        # Keep every entry positive: the certificate divides by x.
-        x = 0.99 * x + 0.01 / nodes.size
-    return x
 
 
 def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
@@ -234,7 +223,7 @@ def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
         raise InputError(f"state vector has shape {s.shape}, expected ({g.n},)")
     if not np.all((s >= 0) & (s <= 1)):  # NaN fails too
         raise InputError("state vector entries must lie in [0, 1]")
-    return g.with_weights(s[g.rows] * g.weights)
+    return _edge_graph(g.n, g.rows, g.cols, s[g.rows] * g.weights)
 
 
 __all__ = [

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from netepi import Graph
+from netepi import Graph, graph
 
 
 def rk4(f, y0, t_end, dt):
@@ -33,6 +33,11 @@ def dense(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     a[g.rows, g.cols] = g.weights
     return a
+
+
+def reweighted(g: Graph, weights) -> Graph:
+    """g's edges with new weights, zero weights kept as edges, as diag(s) A keeps them."""
+    return graph._edge_graph(g.n, g.rows, g.cols, np.asarray(weights, dtype=float))
 
 
 def dump_graph(g: Graph) -> str:
@@ -134,8 +139,6 @@ class SccPasses(list):
 @pytest.fixture()
 def scc_passes(monkeypatch) -> SccPasses:
     """Records every strongly-connected-component pass, frontier or Tarjan."""
-    from netepi import graph
-
     passes = SccPasses()
     frontier, tarjan = graph._spanning_part, graph._component_parts
 

@@ -15,6 +15,7 @@ from netepi import (
     NetEpiError,
     degree_vector,
     dominant_eig,
+    effective_matrix,
     graph_from_rows,
     initial_state,
     integrate,
@@ -30,6 +31,7 @@ from conftest import (
     directed_ring,
     dump_graph,
     random_sc_graph,
+    reweighted,
     symmetric_pair,
     two_node,
 )
@@ -240,6 +242,29 @@ def test_frontier_rounds_are_capped():
         assert is_strongly_connected(ring)
 
 
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=300)
+def test_sweep_reaches_the_closure_below_the_round_cap(n, cap, data):
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    a = np.array(bits, dtype=bool).reshape(n, n)
+    root = data.draw(st.integers(0, n - 1))
+    forward = data.draw(st.booleans())
+    # a[i, j] is an edge j -> i; backward searches follow the edges of a'.
+    p = a if forward else a.T
+    rows, cols = np.nonzero(p)
+    reach = _closure(p)[:, root]
+    reach[root] = True
+    within, eccentricity = np.arange(n) == root, 0  # nodes at most eccentricity steps away
+    while not np.array_equal(within, reach):
+        within = within | np.any(p & within, axis=1)
+        eccentricity += 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "REACH_ROUNDS", cap)
+        count = graph._reached(n, cols, rows, root)
+    # The sweep takes one round per step and one more to see no new node.
+    assert count == (np.count_nonzero(reach) if eccentricity < cap else None)
+
+
 def test_long_ring_exhausts_the_frontier_cap(scc_passes):
     times = []
     for _ in range(3):
@@ -260,9 +285,9 @@ def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
     assert is_strongly_connected(g)
     g.irreducible_parts(np.ones(4, dtype=bool))  # the full support again: no pass
     assert len(scc_passes) == 1
-    assert is_strongly_connected(g.with_weights([2.0, 3.0, 4.0, 5.0, 6.0]))
-    assert not is_strongly_connected(g.with_weights([1.0, 0.0, 1.0, 1.0, 1.0]))
-    assert not is_strongly_connected(g.with_weights([2.0, 0.0, 2.0, 2.0, 2.0]))
+    assert is_strongly_connected(reweighted(g, [2.0, 3.0, 4.0, 5.0, 6.0]))
+    assert not is_strongly_connected(reweighted(g, [1.0, 0.0, 1.0, 1.0, 1.0]))
+    assert not is_strongly_connected(reweighted(g, [2.0, 0.0, 2.0, 2.0, 2.0]))
     assert len(scc_passes) == 4  # one per reweighted graph, even on one support
 
 
@@ -279,7 +304,7 @@ def test_checked_graph_is_freed_without_the_cycle_collector():
 
 
 def test_fewer_positive_edges_than_nodes_need_no_scc_pass(scc_passes):
-    assert not is_strongly_connected(directed_ring(4).with_weights([0.0, 1.0, 1.0, 1.0]))
+    assert not is_strongly_connected(reweighted(directed_ring(4), [0.0, 1.0, 1.0, 1.0]))
     assert not is_strongly_connected(Graph(np.array([[0.0]])))
     assert scc_passes == []
     assert is_strongly_connected(Graph(np.array([[0.7]])))  # one positive self-loop
@@ -378,13 +403,13 @@ def test_dump_load_round_trip_sparse(g):
         assert np.array_equal(getattr(g2, name), getattr(g, name))
 
 
-def test_with_weights_and_dense_view():
+def test_reweighted_graphs_keep_every_edge():
     g = two_node()
-    np.testing.assert_array_equal(dense(g.with_weights([4.0, 1.0])), [[0.0, 4.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        g.with_weights([1.0])
-    with pytest.raises(GraphFormatError):
-        g.with_weights([1.0, -1.0])
+    np.testing.assert_array_equal(dense(reweighted(g, [4.0, 1.0])), [[0.0, 4.0], [1.0, 0.0]])
+    # diag(s) A keeps an edge into a node at s = 0, with weight 0, as reweighted does.
+    h = effective_matrix(np.array([0.0, 0.5]), g)
+    assert h.n == g.n and h.rows is g.rows and h.cols is g.cols
+    np.testing.assert_array_equal(h.weights, [0.0, 4.0])
 
 
 def test_duplicate_edge_reports_first_repeat_line():

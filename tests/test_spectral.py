@@ -188,6 +188,9 @@ def test_radius_of_a_state_block_matches_single_states():
     for k in range(6):
         rho = _dense_radius(mixed[k][:, None] * dense(g))
         assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
+    # Each run of one zero set starts afresh: its radii are those of the run alone.
+    runs = [spectral_radius(g, s=mixed[lo:hi]) for lo, hi in ((0, 2), (2, 3), (3, 6))]
+    assert np.array_equal(lam, np.concatenate(runs))
 
 
 @pytest.mark.parametrize("n", [2, 5, 12])
