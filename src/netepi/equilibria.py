@@ -215,11 +215,12 @@ def sis_endemic(
 ) -> EndemicResult:
     """Endemic state of the network SIS model above threshold.
 
-    Newton-GMRES on y = F_+((beta/gamma) A y) from the upper bracket start,
-    stopped on a certified enclosure l <= x* <= u with l > 0 and
-    max(u - l) <= tol (default DEFAULT_TOL). bracket='lower' returns l,
-    'upper' returns u. Raises BelowThresholdError if R0 <= 1 and
-    NonConvergenceError if no enclosure is certified.
+    Newton-GMRES on y = F_+((beta/gamma) A y) from the upper bracket start
+    clipped to 1, which stays above x* <= 1, stopped on a certified
+    enclosure l <= x* <= u with l > 0 and max(u - l) <= tol (default
+    DEFAULT_TOL). bracket='lower' returns l, 'upper' returns u. Raises
+    BelowThresholdError if R0 <= 1 and NonConvergenceError if no enclosure
+    is certified.
     """
     if bracket not in ("lower", "upper"):
         raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
@@ -240,7 +241,7 @@ def sis_endemic(
         f,
         lambda fy: k * (1.0 - fy) ** 2,  # f_+'(z) = 1/(1+z)^2 = (1 - f_+(z))^2
         g,
-        sis_bracket_start(trip.u_max, r0, "upper"),
+        np.minimum(sis_bracket_start(trip.u_max, r0, "upper"), 1.0),
         1.0,
         tol,
         positive=True,

@@ -264,16 +264,15 @@ def _bulk_graph(text: str) -> Graph | None:
 
     None for text without a data line, text that fails a parse or a check,
     and text where np.loadtxt may split lines or tokens unlike _scan_graph:
-    non-ASCII, a break from _SCAN_ONLY, a lone CR, or a '#' after other
-    text on its line. np.loadtxt reads numbers as int() and float() do or
-    rejects them ("1_0", and "1.0" as an index), so _scan_graph accepts
-    every text this accepts, with the same edges.
+    non-ASCII, a break from _SCAN_ONLY, or a '#' after other text on its
+    line. Each CR becomes LF first, so lines break where str.splitlines
+    breaks them for _scan_graph; a CRLF end leaves a blank line, which both
+    skip. np.loadtxt reads numbers as int() and float() do or rejects them
+    ("1_0", and "1.0" as an index), so _scan_graph accepts every text this
+    accepts, with the same edges.
     """
-    if (
-        not text.isascii()
-        or any(c in text for c in _SCAN_ONLY)
-        or ("\r" in text and text.count("\r") != text.count("\r\n"))
-    ):
+    text = text.replace("\r", "\n")
+    if not text.isascii() or any(c in text for c in _SCAN_ONLY):
         return None
     header, start = None, 0
     while True:  # blank and '#' lines and at most one header, up to the first data line

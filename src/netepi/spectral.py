@@ -10,8 +10,9 @@ iteration stops once every ratio lies within tol * lambda of the estimate
 lambda, so the reported width (largest ratio minus smallest) certifies
 |lambda - rho(M)| <= width <= 2 tol lambda. Plain power iteration can
 oscillate between the periodic classes of an irreducible matrix (bipartite
-contact graphs), so it runs on M + cI with c a fixed fraction of the
-largest row sum.
+contact graphs), so it runs on M + cI, with c a fixed fraction of the
+current estimate lambda, re-set at every step. The bounds read only M x / x,
+so a shift that changes between steps leaves them valid.
 
 The bounds close only where x converges to a positive eigenvector, which an
 irreducible matrix guarantees. A reducible matrix is iterated one strongly
@@ -40,17 +41,25 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NonConvergenceError
-from .graph import Graph, _edge_graph, degree_vector, require_strongly_connected
+from .graph import Graph, _edge_graph, require_strongly_connected
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
-# The shift c as a fraction of the largest row sum. It only has to make the
-# iterated matrix aperiodic, and smaller shifts converge faster on random
-# contact graphs: an R(t) series of 26 samples at n = 1000, one power
-# iteration per sample, took 3,933 products at 1/2, 2,800 at 1/4 and 2,116
-# at 1/10. Periodic graphs (rings, bipartite graphs) converge more slowly as
-# the shift shrinks.
-SHIFT_FRACTION = 0.1
+# The shift of a row as a fraction f of its estimate lambda = sum(M x). It
+# only has to break periodicity: on a bipartite graph the eigenvalue -lambda
+# decays by (1 - f) / (1 + f) per product, and a larger f narrows the gap
+# to the second eigenvalue. Products for u from dominant_eig, the earlier
+# shift of 0.1 times the largest row sum -> 0.2 lambda: seed-21 benchmark
+# graphs (n = 1000, 500, 20) 55, 52, 37 -> 49, 49, 37, and their R(t)
+# series 550, 87, 44 -> 528, 81, 42; a 10,000-node star 335 -> 74; a
+# 10,000-node ring plus 5n random edges, lognormal(0, 3) weights, no
+# certificate in 100,000 -> 923, U(0.1, 2) weights 59 -> 50; 30 x 30 and
+# 100 x 100 lattices +4% and +3%; directed 80- and 90-node rings 71,716 and
+# 91,036 -> 62,390 and 78,671; a random 1,000-node bipartite graph 53 -> 63,
+# where 0.1 times the largest row sum exceeds 0.2 lambda. At f = 0.1 both
+# rings exhaust DEFAULT_MAX_ITER; at 0.25 the 30 x 30 lattice takes 8% more
+# and the n = 1000 R(t) series 553.
+SHIFT_FRACTION = 0.2
 # Rows per block of spectral_radius: a block's product touches about
 # BLOCK_ENTRIES edge entries. A wide block pays numpy's per-call overhead
 # once for many samples, which is most of the cost at small n; at large n a
@@ -87,38 +96,29 @@ class SpectralTriple:
         """left: v' A = lambda v'."""
         g = self.graph
         start = _uniform(g.n)[None]
-        _, v, _ = _power_iteration(
-            g.transpose().block_product(1), _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, start
-        )
+        _, v, _ = _power_iteration(g.transpose().block_product(1), DEFAULT_TOL / 4, start)
         return v[0]
-
-
-def _shift(row_sums: np.ndarray) -> np.ndarray:
-    """SHIFT_FRACTION of each row's largest entry, for a (B, n) block of row sums.
-
-    Proportional to the matrix scale, so late SIR states, whose diag(s) A
-    is close to zero, keep the relative spectral gap and the iteration
-    count of the original matrix.
-    """
-    return SHIFT_FRACTION * row_sums.max(axis=1, keepdims=True)
 
 
 def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _power_iteration(product, shift, tol, x):
-    """Iterate each row x -> (M x + shift x) / ||.||_1 until its Collatz-Wielandt bounds close.
+def _power_iteration(product, tol, x):
+    """Iterate each row x -> (M x + c x) / ||.||_1 until its Collatz-Wielandt bounds close.
 
-    x is a (B, n) block of positive starts with unit 1-norm rows, product
-    maps it to the block of products M_k x_k of B irreducible nonnegative
-    n x n matrices, and shift is a (B, 1) column. Row k stops at the first
-    step its ratios (M_k x)_i / x_i all lie within tol * lambda_k of
-    lambda_k = sum(M_k x); a stopped row stays in the block, so every
-    product has one shape, until the last row stops. Returns length-B
-    arrays lambda and width (largest ratio minus smallest) and the (B, n)
-    block of rows as each stopped; rho(M_k) lies within width_k of lambda_k.
-    For B = 1 this is the arithmetic of a single-vector iteration.
+    x is a (B, n) block of positive starts with unit 1-norm rows, and
+    product maps it to the block of products M_k x_k of B irreducible
+    nonnegative n x n matrices. Row k's estimate is lambda_k = sum(M_k x),
+    and its shift c_k = SHIFT_FRACTION * lambda_k follows the estimate, so
+    it scales with the row's own matrix, such as a late SIR state's
+    diag(s) A. Row k stops at the first step its ratios (M_k x)_i / x_i all
+    lie within tol * lambda_k of lambda_k; a stopped row stays in the
+    block, so every product has one shape, until the last row stops.
+    Returns length-B arrays lambda and width (largest ratio minus smallest)
+    and the (B, n) block of rows as each stopped; rho(M_k) lies within
+    width_k of lambda_k. For B = 1 this is the arithmetic of a single-vector
+    iteration.
     """
     lam, width, out = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
     pending = np.ones(len(x), dtype=bool)
@@ -134,7 +134,7 @@ def _power_iteration(product, shift, tol, x):
             pending &= ~done
             if not np.count_nonzero(pending):
                 return lam, out, width
-        y = mx + shift * x
+        y = mx + SHIFT_FRACTION * sums[:, None] * x
         x = y / y.sum(axis=1, keepdims=True)
     raise NonConvergenceError(
         f"power iteration did not reach tol={tol} within {DEFAULT_MAX_ITER} iterations"
@@ -154,9 +154,7 @@ def dominant_eig(g: Graph) -> SpectralTriple:
     require_strongly_connected(g)
     # A quarter of DEFAULT_TOL, so both eigen-residuals also hold against
     # the single reported eigenvalue.
-    lam, u, width = _power_iteration(
-        g.block_product(1), _shift(degree_vector(g)[None]), DEFAULT_TOL / 4, _uniform(g.n)[None]
-    )
+    lam, u, width = _power_iteration(g.block_product(1), DEFAULT_TOL / 4, _uniform(g.n)[None])
     return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]), graph=g)
 
 
@@ -202,9 +200,7 @@ def spectral_radius(g: Graph, s) -> np.ndarray:
                 scale = block[lo:hi, nodes]
                 x = np.tile(starts[k] / starts[k].sum(), (hi - lo, 1))
                 product = sub.block_product(hi - lo)
-                lam, x, _ = _power_iteration(
-                    lambda y: scale * product(y), _shift(scale * degree_vector(sub)), DEFAULT_TOL, x
-                )
+                lam, x, _ = _power_iteration(lambda y: scale * product(y), DEFAULT_TOL, x)
                 np.maximum(out, lam, out=out)
                 starts[k] = x[-1]
     return radius

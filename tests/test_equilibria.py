@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from netepi import (
     BelowThresholdError,
+    Graph,
     ModelParams,
     NonConvergenceError,
     dominant_eig,
@@ -114,6 +115,24 @@ def test_endemic_enclosure_holds_the_dense_newton_state(r0):
     assert np.abs(upper.x_star - lower.x_star).max() == lower.width
     assert lower.x_star.min() > 0  # never the disease-free state
     assert lower.residual <= tol and upper.residual <= tol
+
+
+def test_endemic_certifies_when_the_perron_vector_spans_many_decades():
+    # A 60-node path, weight 1 forward and 0.1 back: u_max spans 3.2e29, so
+    # the upper bracket start exceeds 1 at all but a few nodes.
+    n = 60
+    a = np.zeros((n, n))
+    a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    a[np.arange(n - 1), np.arange(1, n)] = 0.1
+    g = Graph(a)
+    u = dominant_eig(g).u_max
+    assert u.max() / u.min() > 1e29
+    beta, gamma, tol = 1.5 / dominant_eig(g).lambda_max, 1.0, 1e-10
+    upper = sis_endemic(g, beta, gamma, tol=tol, bracket="upper")
+    reference = _sis_reference(g, beta, gamma)
+    assert upper.width <= tol and upper.residual <= tol
+    assert np.all(reference <= upper.x_star + REFERENCE_SLACK)
+    assert np.all(upper.x_star - upper.width <= reference + REFERENCE_SLACK)
 
 
 @given(

@@ -502,6 +502,22 @@ def test_bulk_parse_takes_comments_blank_lines_crlf_and_tabs(text):
     assert g is not None and _edges(g) == _outcome(graph._scan_graph, text)
 
 
+_LF_TEXT = "n 4\n# contacts\n1 2 0.5\n\n2 3 1.5\n3 4 2e-3\n4 1 1\n"
+
+
+def test_lf_crlf_and_cr_line_ends_parse_in_bulk_to_one_graph():
+    lf = graph._bulk_graph(_LF_TEXT)
+    for end in ("\r\n", "\r"):
+        g = graph._bulk_graph(_LF_TEXT.replace("\n", end))
+        assert g is not None and _edges(g) == _edges(lf)
+
+
+def test_a_bad_line_keeps_its_number_under_every_line_end():
+    bad = _LF_TEXT.replace("2 3 1.5", "2 3 x")
+    messages = {_outcome(load_graph, bad.replace("\n", end)) for end in ("\n", "\r\n", "\r")}
+    assert messages == {(GraphFormatError, "line 5: expected 'i j w', got '2 3 x'")}
+
+
 def _ring_text(n: int, skip_first: bool = False) -> str:
     edges = [f"{(i + 1) % n + 1} {i + 1} 1.0" for i in range(n)]
     return "\n".join([f"n {n}"] + edges[skip_first:]) + "\n"
