@@ -75,7 +75,7 @@ for t_mark in (0.0, 2.0, 4.0, 6.0, 10.0, 20.0, 40.0, 80.0):
 print()
 
 print("=== final state without integrating: the fixed-point route ===")
-res = sir_asymptotic(g, beta, gamma, state0.s, state0.x, state0.r, start="zero")
+res = sir_asymptotic(g, beta, gamma, state0, start="zero")
 gap = np.abs(res.s_inf - traj.s[-1]).max()
 print(
     f"fixed point certified in {res.iterations} Newton steps, "

@@ -38,6 +38,7 @@ _EXPORTS = {
     "integrate": "dynamics",
     "rhs": "dynamics",
     "sir_fixed_point_map": "dynamics",
+    "sir_defect": "dynamics",
     "initial_growth_approx": "dynamics",
     "late_time_decay_rates": "dynamics",
     "write_trajectory_csv": "dynamics",

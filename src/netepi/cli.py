@@ -21,7 +21,6 @@ import contextlib
 import dataclasses
 import gc
 import json
-import math
 import os
 import sys
 import warnings
@@ -35,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     NonConvergenceError,
     ReducibleMatrixError,
+    require_positive,
 )
 from .graph import Graph, graph_from_rows, load_graph, require_strongly_connected
 
@@ -190,12 +190,6 @@ def _file_key(path: str):
     return st.st_dev, st.st_ino
 
 
-def _positive(value, flag):
-    if value is None or not (math.isfinite(value) and value > 0):
-        raise InputError(f"{flag} must be positive and finite")
-    return float(value)
-
-
 def _parse_gammas(args: argparse.Namespace) -> list[float]:
     if args.gamma is None:
         raise InputError("--gamma is required")
@@ -204,7 +198,7 @@ def _parse_gammas(args: argparse.Namespace) -> list[float]:
     except ValueError:
         raise InputError(f"bad --gamma value {args.gamma!r}") from None
     for gv in gammas:
-        _positive(gv, "--gamma")
+        require_positive(gv, "--gamma")
     return gammas
 
 
@@ -257,11 +251,13 @@ def _check_initial(args: argparse.Namespace) -> None:
         raise InputError("--x0-uniform must lie in [0, 1]")
 
 
-def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Resolve the initial infection (uniform | seed node | file) and optional r0 file.
+def _initial_state(args: argparse.Namespace, kind, n: int):
+    """The run's start state: the initial infection (uniform | seed node | file), and the r0 file.
 
     Call _check_initial first.
     """
+    from .dynamics import initial_state
+
     if args.x0_uniform is not None:
         x0 = np.full(n, args.x0_uniform)
     elif args.seed_node is not None:
@@ -271,8 +267,8 @@ def _initial_vectors(args: argparse.Namespace, n: int) -> tuple[np.ndarray, np.n
         x0[args.seed_node - 1] = 1.0
     else:
         x0 = _read_vector(args.x0_file, n, "x0")
-    r0 = np.zeros(n) if args.r0_file is None else _read_vector(args.r0_file, n, "r0")
-    return x0, r0
+    r0 = None if args.r0_file is None else _read_vector(args.r0_file, n, "r0")
+    return initial_state(kind, x0, r0)
 
 
 def _output(path: str | None):
@@ -295,7 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     _require(args, "graph", "model", "beta", "t_end")
     kind = ModelKind(args.model)
-    beta = _positive(args.beta, "--beta")
+    beta = require_positive(args.beta, "--beta")
     if kind is ModelKind.SI:
         if args.gamma is not None:
             raise InputError("SI has no --gamma")
@@ -305,9 +301,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if kind is not ModelKind.SIR and args.r0_file is not None:
         raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
-    dt = None if args.dt is None else _positive(args.dt, "--dt")
+    dt = None if args.dt is None else require_positive(args.dt, "--dt")
     steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
-    t_end = _positive(args.t_end, "--t-end")
+    t_end = require_positive(args.t_end, "--t-end")
     for step in dict.fromkeys(steps):
         dynamics.step_count(t_end, step, ("--t-end", "--dt"))
     if args.record_every < 1:
@@ -317,9 +313,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     flag = "--out" if len(paths) == 1 else f"--out for --gamma {args.gamma}"
     _check_outputs(args, [(flag, path) for path in paths])
     g = _read_graph(args.graph)
-    x0, r0 = _initial_vectors(args, g.n)
+    state0 = _initial_state(args, kind, g.n)
 
-    state0 = dynamics.initial_state(kind, x0, r0 if kind is ModelKind.SIR else None)
     trajectories = {}
     # The runs that share a step size integrate together, one row each.
     for dt in dict.fromkeys(steps):
@@ -368,9 +363,9 @@ def _cmd_endemic(args: argparse.Namespace) -> int:
     from . import equilibria
 
     _require(args, "graph", "beta", "gamma")
-    beta = _positive(args.beta, "--beta")
+    beta = require_positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
+    tol = require_positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     result = equilibria.sis_endemic(g, beta, gamma, tol=tol, bracket=args.bracket)
@@ -383,21 +378,16 @@ def _cmd_asymptotic(args: argparse.Namespace) -> int:
     from . import equilibria
 
     _require(args, "graph", "beta", "gamma")
-    beta = _positive(args.beta, "--beta")
+    beta = require_positive(args.beta, "--beta")
     gamma = _single_gamma(args)
-    tol = _positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
+    tol = require_positive(equilibria.DEFAULT_TOL if args.tol is None else args.tol, "--tol")
     _check_initial(args)
     _check_outputs(args, [("--out", args.out)])
     g = _read_graph(args.graph)
     # Before the length-n start vectors, so a reducible graph of huge n exits 3.
     require_strongly_connected(g)
-    x0, r0 = _initial_vectors(args, g.n)
-    s0 = 1.0 - x0 - r0
-    if np.any(s0 < 0):
-        raise InputError("x0 + r0 exceeds 1 at some node")
-    result = equilibria.sir_asymptotic(
-        g, beta, gamma, s0=s0, x0=x0, r0=r0, tol=tol, start=args.start
-    )
+    state0 = _initial_state(args, "SIR", g.n)
+    result = equilibria.sir_asymptotic(g, beta, gamma, state0, tol=tol, start=args.start)
     with _output(args.out) as fp:
         fp.write(_json_text(result))
     return EXIT_OK
@@ -411,7 +401,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
         raise InputError("--rt-out needs --trajectory")
     if args.trajectory is not None and args.rt_out is None:
         raise InputError("--trajectory needs --rt-out for the R(t) CSV")
-    beta = _positive(args.beta, "--beta")
+    beta = require_positive(args.beta, "--beta")
     gamma = _single_gamma(args)
     _check_outputs(args, [("--rt-out", args.rt_out), ("--out", args.out)])
     g = _read_graph(args.graph)
@@ -424,11 +414,17 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             traj = dynamics.read_trajectory_csv(fp)
         if traj.n != g.n:
             raise InputError("trajectory and graph node counts differ")
+        defect = dynamics.sir_defect(traj, g, beta, gamma)
+        if not defect <= dynamics.STATE_TOL:
+            raise InputError(
+                f"trajectory is no SIR run at these rates: max |s - H(1 - r)| = {defect:.3g} "
+                f"exceeds {dynamics.STATE_TOL:g}"
+            )
         times, values = threshold.effective_r_series(traj, g, beta, gamma)
         with _output(args.rt_out) as fp:
             dynamics.write_csv(fp, ("t", "R_t"), (times, values))
         tau = threshold.subthreshold_crossing(times, values)
-        report = dataclasses.replace(report, crossing_time=tau)
+        report = dataclasses.replace(report, sir_defect=defect, crossing_time=tau)
 
     with _output(args.out) as fp:
         fp.write(_json_text(report))
@@ -453,7 +449,7 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
     if unused:
         raise InputError(f"scalar {kind.value} does not use {', '.join(unused)}")
     _check_outputs(args, [("--out", args.out)])
-    beta = _positive(args.beta, "--beta")
+    beta = require_positive(args.beta, "--beta")
     gamma = None if kind is ModelKind.SI else _single_gamma(args)
 
     if kind is ModelKind.SIR:
@@ -470,8 +466,8 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _require(args, "x0", "t_end")
-    t_end = _positive(args.t_end, "--t-end")
-    dt = _positive(args.dt, "--dt") if args.dt is not None else t_end / 200.0
+    t_end = require_positive(args.t_end, "--t-end")
+    dt = require_positive(args.dt, "--dt") if args.dt is not None else t_end / 200.0
     grid = np.arange(dynamics.step_count(t_end, dt, ("--t-end", "--dt")) + 1) * dt
     if kind is ModelKind.SI:
         values = scalar.si_closed_form(args.x0, beta, grid)

@@ -10,8 +10,10 @@ deterministic. Roundoff-sized excursions from the box are clamped; anything
 larger than EXCURSION_TOL is treated as an integration failure, not noise.
 Several parameter sets integrate together as the rows of one (B, n) block,
 so a recovery-rate sweep pays for one sparse product per RK4 stage.
-Every CSV of the package, trajectories and series alike, goes through one
-row writer, write_csv, which formats and writes one row at a time.
+Every numeric CSV of the package, trajectories and series alike, goes
+through one row writer, write_csv, which formats and writes one row at a
+time; only `scalar --model SIR`'s quantity,value rows, which name each
+value, are written by cli._cmd_scalar itself, with the same %.17g.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, require_positive
 from .graph import Graph
 from .scalar import ModelKind
 
@@ -45,13 +47,12 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ModelKind(self.kind))
-        if self.beta <= 0:
-            raise InputError("beta must be positive")
+        require_positive(self.beta, "beta")
         if self.kind is ModelKind.SI:
             if self.gamma is not None:
                 raise InputError("SI has no recovery rate")
-        elif self.gamma is None or self.gamma <= 0:
-            raise InputError(f"{self.kind.value} requires gamma > 0")
+        else:
+            require_positive(self.gamma, "gamma")
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,22 @@ class Trajectory:
         return self.s.shape[1]
 
 
-def sir_fixed_point_map(g: Graph, beta: float, gamma, s0, r0):
+def sir_fixed_point_map(g: Graph, beta: float, gamma, state0: EpidemicState):
     """The H-map H(u)_i = s0_i exp((beta/gamma) sum_j a_ij (u_j - 1 + r0_j)).
 
     The conserved s_i exp((beta/gamma) (A r)_i) of a network SIR run from
-    (s0, x0, r0) gives s = H(u), u = s + x = 1 - r, so u' = gamma (H(u) - u);
-    its limit s(inf) is the unique fixed point of H in [0, 1 - r0]. For B
-    rates gamma, h(u, out=None) maps (B, n) blocks, row j bit for bit as the
-    map of gamma[j] maps n-vectors.
+    state0 = (s0, x0, r0) gives s = H(u), u = s + x = 1 - r, so
+    u' = gamma (H(u) - u); its limit s(inf) is the unique fixed point of H
+    in [0, 1 - r0]. For B rates gamma, h(u, out=None) maps (B, n) blocks,
+    row j bit for bit as the map of gamma[j] maps n-vectors.
     """
-    s0 = np.asarray(s0, dtype=float)
+    require_positive(beta, "beta")
+    for gv in np.ravel(gamma):
+        require_positive(gv, "gamma")
     scale = beta / np.asarray(gamma, dtype=float)
     product = g.block_product(scale.size, scale)
-    offset = product(np.broadcast_to(np.subtract(r0, 1.0), (*scale.shape, g.n)))
+    offset = product(np.broadcast_to(state0.r - 1.0, (*scale.shape, g.n)))
+    s0 = state0.s
 
     def h(u, out=None):
         z = np.add(product(u), offset, out)
@@ -132,6 +136,20 @@ def sir_fixed_point_map(g: Graph, beta: float, gamma, s0, r0):
         return np.multiply(s0, z, z)
 
     return h
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow or NaN reads as a large defect
+def sir_defect(traj: Trajectory, g: Graph, beta: float, gamma: float) -> float:
+    """D = max over the recorded rows of |s - H(1 - r)|, H the H-map of the first row.
+
+    Each SIR row that integrate records has s = H(u), u = 1 - r, by
+    construction, so D is roundoff on an SIR run at these rates, and large
+    on an SI or SIS run or one read at other rates. An error indicator, not
+    a bound: it tests the rows against the rates, not against the true
+    solution.
+    """
+    h = sir_fixed_point_map(g, beta, gamma, EpidemicState(traj.s[0], traj.x[0], traj.r[0]))
+    return float(np.max([np.abs(h(1.0 - r) - s).max() for s, r in zip(traj.s, traj.r)]))
 
 
 def rhs(state: EpidemicState, params: ModelParams, g: Graph):
@@ -163,7 +181,7 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
     # One rate per entry: same-shape operands take numpy's fast loops.
     rates = np.array(gamma, dtype=float).repeat(g.n).reshape(y.shape)
     if kind is ModelKind.SIR:
-        h = sir_fixed_point_map(g, beta, gamma, state0.s, state0.r)
+        h = sir_fixed_point_map(g, beta, gamma, state0)
 
         def f(u, out):
             h(u, out)

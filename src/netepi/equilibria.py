@@ -23,12 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BelowThresholdError, InputError, NonConvergenceError
+from .errors import BelowThresholdError, InputError, NonConvergenceError, require_positive
 from .graph import Graph, degree_vector, require_strongly_connected
 from .spectral import dominant_eig
+
+if TYPE_CHECKING:
+    from .dynamics import EpidemicState
 
 DEFAULT_TOL = 1e-10
 NEAR_THRESHOLD_DELTA = 1e-3
@@ -187,6 +191,8 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
 
     Its fixed points in [0, 1]^n are exactly the SIS equilibria.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     product = g.block_product(1, beta / gamma)
 
     def f(y):
@@ -222,6 +228,8 @@ def sis_endemic(
     BelowThresholdError if R0 <= 1 and NonConvergenceError if no enclosure
     is certified.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     if bracket not in ("lower", "upper"):
         raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
     trip = dominant_eig(g)
@@ -262,6 +270,8 @@ def sis_endemic_expansion_threshold(g: Graph, beta: float, gamma: float) -> np.n
 
     The error of this expansion is O(delta^2) with delta = R0 - 1.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     trip = dominant_eig(g)
     delta = beta * trip.lambda_max / gamma - 1.0
     if delta < 0:
@@ -276,6 +286,8 @@ def sis_endemic_expansion_high_rate(g: Graph, beta: float, gamma: float) -> np.n
 
     Error is O((gamma/beta)^2) at fixed graph; exact on regular graphs.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     d = degree_vector(g)
     if np.any(d <= 0):
         raise InputError("every node needs positive out-strength (row sum)")
@@ -289,37 +301,36 @@ def sir_asymptotic(
     g: Graph,
     beta: float,
     gamma: float,
-    s0,
-    x0,
-    r0,
+    state0: EpidemicState,
     tol: float = DEFAULT_TOL,
     start: str = "zero",
 ) -> SirAsymptoticResult:
-    """Asymptotic state of the network SIR model: the fixed point of the H-map.
+    """Asymptotic state of the network SIR model from state0: the fixed point of the H-map.
 
     Newton-GMRES from 0, stopped on a certified enclosure l <= s(inf) <= u
     in [0, 1 - r0] with max(u - l) <= tol (default DEFAULT_TOL).
     start='zero' returns l, 'upper' returns u. Raises NonConvergenceError if
     no enclosure is certified.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     require_strongly_connected(g)
-    s0, x0, r0 = (np.asarray(v, dtype=float) for v in (s0, x0, r0))
-    # Written so that a NaN entry fails each test.
-    if not (np.all(s0 >= 0) and np.all(x0 >= 0) and np.all(r0 >= 0)):
-        raise InputError("s0, x0, r0 must be nonnegative")
-    if not np.any(x0 > 0):
+    if state0.n != g.n:
+        raise InputError("state and graph dimensions differ")
+    # EpidemicState admits s down to -STATE_TOL; the box [0, 1 - r0] needs s0 >= 0.
+    if not np.all(state0.s >= 0):
+        raise InputError("s0 must be nonnegative")
+    if not np.any(state0.x > 0):
         raise InputError("x0 must have at least one infected node")
-    if not np.abs(s0 + x0 + r0 - 1.0).max() <= 1e-9:
-        raise InputError("s0 + x0 + r0 must equal 1 at every node")
     if start not in ("zero", "upper"):
         raise InputError(f"start must be 'zero' or 'upper', got {start!r}")
 
     from .dynamics import sir_fixed_point_map  # here, so that endemic loads no dynamics code
 
-    h = sir_fixed_point_map(g, beta, gamma, s0, r0)
+    h = sir_fixed_point_map(g, beta, gamma, state0)
     k = beta / gamma
     lower, upper, steps = _certified_fixed_point(
-        h, lambda hy: k * hy, g, np.zeros_like(s0), 1.0 - r0, tol
+        h, lambda hy: k * hy, g, np.zeros(g.n), 1.0 - state0.r, tol
     )
     s_inf = lower if start == "zero" else upper
     return SirAsymptoticResult(

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one rate check.
 
 The CLI maps these onto distinct exit codes, so analysis code should raise
 the most specific class that applies.
 """
+
+import math
 
 
 class NetEpiError(Exception):
@@ -15,6 +17,18 @@ class InputError(NetEpiError, ValueError):
     Also a ValueError, so code that catches ValueError still catches it; a
     plain ValueError from inside the package is a bug, not bad input.
     """
+
+
+def require_positive(value, name: str) -> float:
+    """value as a float; InputError naming it unless it is positive and finite.
+
+    Every public function that takes a rate beta or gamma checks it here,
+    and the CLI checks its number flags here: NaN, inf, 0 and negatives all
+    fail.
+    """
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be positive and finite")
+    return float(value)
 
 
 class GraphFormatError(NetEpiError):

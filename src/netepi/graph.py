@@ -47,8 +47,8 @@ REACH_ROUNDS = 64
 
 # One edge-list data line for np.loadtxt: two integer indices and a weight.
 _EDGE_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])
-# ASCII characters where the line scan breaks lines and np.loadtxt sees blanks.
-_SCAN_ONLY = "\v\f\x1c\x1d\x1e"
+# Line breaks that str.splitlines takes for the line scan and np.loadtxt does not.
+_SCAN_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -264,15 +264,21 @@ def _bulk_graph(text: str) -> Graph | None:
 
     None for text without a data line, text that fails a parse or a check,
     and text where np.loadtxt may split lines or tokens unlike _scan_graph:
-    non-ASCII, a break from _SCAN_ONLY, or a '#' after other text on its
-    line. Each CR becomes LF first, so lines break where str.splitlines
-    breaks them for _scan_graph; a CRLF end leaves a blank line, which both
-    skip. np.loadtxt reads numbers as int() and float() do or rejects them
+    a break from _SCAN_ONLY, a non-ASCII character outside a comment line
+    (one whose first character but ASCII spaces and tabs is '#'), or a '#'
+    after other text on its line. Each CR becomes LF first, so lines break
+    where str.splitlines breaks them for _scan_graph; a CRLF end leaves a
+    blank line, which both skip. np.loadtxt reads numbers as int() and float() do or rejects them
     ("1_0", and "1.0" as an index), so _scan_graph accepts every text this
     accepts, with the same edges.
     """
     text = text.replace("\r", "\n")
-    if not text.isascii() or any(c in text for c in _SCAN_ONLY):
+    if any(c in text for c in _SCAN_ONLY):
+        return None
+    if not text.isascii() and any(
+        not line.isascii() and not line.lstrip(" \t").startswith("#")
+        for line in text.split("\n")
+    ):
         return None
     header, start = None, 0
     while True:  # blank and '#' lines and at most one header, up to the first data line

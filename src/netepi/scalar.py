@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import BelowThresholdError, InputError
+from .errors import BelowThresholdError, InputError, require_positive
 
 RINF_BRACKET_WIDTH = 1e-12
 
@@ -38,6 +38,7 @@ def si_closed_form(x0: float, beta: float, t):
     Evaluates x0 e^{bt} / (1 - x0 + x0 e^{bt}) in the equivalent form
     x0 / ((1 - x0) e^{-bt} + x0) so large t cannot overflow.
     """
+    require_positive(beta, "beta")
     _check_fraction(x0)
     t = np.asarray(t, dtype=float)
     if x0 == 0.0:
@@ -54,6 +55,8 @@ def sis_closed_form(x0: float, beta: float, gamma: float, t):
     beta != gamma the closed form is rearranged so the exponential always
     decays, whichever of the two rates is larger.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     _check_fraction(x0)
     t = np.asarray(t, dtype=float)
     if beta == gamma:
@@ -75,6 +78,8 @@ def sir_rinf(s0: float, r0: float, beta: float, gamma: float) -> float:
     down to a bracket of width RINF_BRACKET_WIDTH; the bracket always
     contains exactly one root under the preconditions.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     if not (s0 > 0 and r0 >= 0 and s0 + r0 <= 1):
         raise InputError("need s0 > 0, r0 >= 0, s0 + r0 <= 1")
     x0 = 1.0 - s0 - r0
@@ -102,6 +107,8 @@ def sir_xmax(s0: float, x0: float, beta: float, gamma: float) -> float:
     Only valid for beta s0 / gamma >= 1 (at equality the peak is at t = 0 and
     the formula collapses to x0).
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     if not (s0 > 0 and x0 > 0 and s0 + x0 <= 1):
         raise InputError("need s0 > 0, x0 > 0, s0 + x0 <= 1")
     rho = gamma / beta

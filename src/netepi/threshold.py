@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
+from .errors import require_positive
 from .graph import Graph
 from .spectral import dominant_eig, spectral_radius
 
@@ -30,10 +30,13 @@ class ThresholdReport:
 
     classification is "below" or "above" when the whole certified enclosure
     beta*(lambda_max +/- width)/gamma lies on that side of 1, and "critical"
-    when it holds 1. crossing_time is the first time R(t) drops below 1, if
-    a trajectory was given and it does. It is a linear interpolation between
-    the R(t) samples at the two recorded rows that bracket the crossing, so
-    its error is dominated by the row spacing, not by the samples' 1e-12
+    when it holds 1. sir_defect is D = max |s - H(1 - r)| over the rows of
+    a trajectory, if one was given (dynamics.sir_defect): an indicator that
+    the rows are an SIR run at these rates, not an error bound.
+    crossing_time is the first time R(t) drops below 1, if a trajectory was
+    given and it does. It is a linear interpolation between the R(t)
+    samples at the two recorded rows that bracket the crossing, so its
+    error is dominated by the row spacing, not by the samples' 1e-12
     relative certificate: 4.5e-2 at a spacing of 0.8 on a 1000-node
     outbreak, 8.0e-7 at 0.2 near threshold (R0 = 1.001, 500 nodes), against
     a crossing from every integration step.
@@ -42,13 +45,15 @@ class ThresholdReport:
     r0: float
     classification: str  # below | above | critical
     lambda_max: float
+    width: float  # |lambda_max - rho(A)| <= width
+    sir_defect: float | None = None
     crossing_time: float | None = None
 
 
 def reproduction_number(g: Graph, beta: float, gamma: float) -> ThresholdReport:
     """Basic reproduction number R0 = beta * lambda_max(A) / gamma, classified."""
-    if not (beta > 0 and gamma > 0):
-        raise InputError("rates must be positive")
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     trip = dominant_eig(g)
     lam = trip.lambda_max
     if beta * (lam - trip.width) / gamma > 1.0:
@@ -57,7 +62,9 @@ def reproduction_number(g: Graph, beta: float, gamma: float) -> ThresholdReport:
         classification = "below"
     else:
         classification = "critical"
-    return ThresholdReport(r0=beta * lam / gamma, classification=classification, lambda_max=lam)
+    return ThresholdReport(
+        r0=beta * lam / gamma, classification=classification, lambda_max=lam, width=trip.width
+    )
 
 
 def effective_r_series(
@@ -68,6 +75,8 @@ def effective_r_series(
     One call of spectral_radius on the whole series of states, which
     batches the samples and certifies each to spectral.DEFAULT_TOL relative.
     """
+    require_positive(beta, "beta")
+    require_positive(gamma, "gamma")
     return traj.times.copy(), beta * spectral_radius(g, traj.s) / gamma
 
 

@@ -193,20 +193,18 @@ def test_criterion_6_sir_fixed_point_correctness():
     g = random_sc_graph(np.random.default_rng(7), n=n, density=0.2)
     lam = dominant_eig(g).lambda_max
     beta, gamma = 5.0 / lam, 1.0
-    x0 = np.full(n, 0.05)
-    r0 = np.full(n, 0.02)
-    s0 = 1.0 - x0 - r0
+    state0 = initial_state("SIR", np.full(n, 0.05), np.full(n, 0.02))
     tol = 1e-10
 
-    res_zero = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="zero")
-    res_upper = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="upper")
+    res_zero = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="zero")
+    res_upper = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="upper")
     agreement = np.abs(res_zero.s_inf - res_upper.s_inf).max()
     assert agreement <= 2 * tol
     assert res_zero.residual <= 1e-10 and res_upper.residual <= 1e-10
 
     # bracketing: p(k) non-decreasing, q(k) non-increasing, p <= q throughout
-    h = sir_fixed_point_map(g, beta, gamma, s0, r0)
-    p, q = np.zeros(n), 1.0 - r0
+    h = sir_fixed_point_map(g, beta, gamma, state0)
+    p, q = np.zeros(n), 1.0 - state0.r
     while np.abs(q - p).max() > tol:
         p_next, q_next = h(p), h(q)
         assert np.all(p_next >= p - 1e-12)
@@ -215,7 +213,7 @@ def test_criterion_6_sir_fixed_point_correctness():
         p, q = p_next, q_next
 
     traj = integrate(
-        initial_state("SIR", x0, r0),
+        state0,
         ModelParams("SIR", beta, gamma),
         g,
         t_end=200.0,

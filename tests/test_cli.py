@@ -339,6 +339,52 @@ def test_threshold_with_trajectory(g20_file, tmp_path):
     assert np.all(np.diff(mean_x[peak:]) <= 1e-12)
 
 
+def _simulate_g20(g20_file, tmp_path, model, beta):
+    path = tmp_path / f"{model}.csv"
+    argv = ["simulate", "--graph", g20_file, "--model", model, "--beta", str(beta),
+            "--gamma", "0.4", "--seed-node", "1", "--t-end", "4", "--dt", "0.01",
+            "--record-every", "25", "--out", str(path)]
+    assert main(argv) == 0
+    return str(path)
+
+
+def _threshold_g20(g20_file, tmp_path, trajectory, beta):
+    rt, out = tmp_path / "rt.csv", tmp_path / "report.json"
+    argv = ["threshold", "--graph", g20_file, "--beta", str(beta), "--gamma", "0.4",
+            "--trajectory", trajectory, "--rt-out", str(rt), "--out", str(out)]
+    return main(argv), rt, out
+
+
+def test_threshold_report_writes_the_width_and_the_sir_defect(g20_file, tmp_path):
+    code, _, out = _threshold_g20(
+        g20_file, tmp_path, _simulate_g20(g20_file, tmp_path, "SIR", 0.5), 0.5
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert list(report) == [
+        "r0", "classification", "lambda_max", "width", "sir_defect", "crossing_time"
+    ]
+    assert 0 <= report["width"] <= 2e-12 * report["lambda_max"]
+    assert 0 <= report["sir_defect"] <= 1e-12
+    assert main(["threshold", "--graph", g20_file, "--beta", "0.5", "--gamma", "0.4",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["sir_defect"] is None
+
+
+@pytest.mark.parametrize(
+    "model, beta_read", [("SIS", 0.5), ("SIR", 0.5 * 1.001)], ids=["sis-file", "beta-off"]
+)
+def test_threshold_refuses_a_trajectory_that_is_no_sir_run_at_its_rates(
+    g20_file, tmp_path, capsys, model, beta_read
+):
+    trajectory = _simulate_g20(g20_file, tmp_path, model, 0.5)
+    code, rt, out = _threshold_g20(g20_file, tmp_path, trajectory, beta_read)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("netepi: bad configuration: trajectory is no SIR run at these rates")
+    assert not rt.exists() and not out.exists()
+
+
 def test_scalar_sir_final_size_rows(tmp_path, capsys):
     # beta/gamma = 1/4: final size lands in (0.05, 0.1) and there is no peak row
     code = main(
@@ -544,10 +590,10 @@ def test_fewer_edges_than_nodes_exit_3_without_an_scc_pass(tmp_path, capsys, scc
 def test_asymptotic_checks_the_graph_before_building_start_vectors(
     tmp_path, capsys, monkeypatch
 ):
-    def fail(args, n):
+    def fail(args, kind, n):
         raise AssertionError(f"start vectors of length {n} built before the graph check")
 
-    monkeypatch.setattr("netepi.cli._initial_vectors", fail)
+    monkeypatch.setattr("netepi.cli._initial_state", fail)
     path = tmp_path / "sparse.txt"
     path.write_text("3037000499 1 1\n1 3037000499 1\n")
     argv = ["--graph", str(path), "--beta", "1", "--gamma", "1", "--seed-node", "1"]

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -20,6 +22,8 @@ from netepi import (
     read_trajectory_csv,
     rhs,
     si_closed_form,
+    sir_defect,
+    sir_fixed_point_map,
     sir_rinf,
     write_trajectory_csv,
 )
@@ -341,6 +345,44 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(back.s, traj.s)
     np.testing.assert_array_equal(back.x, traj.x)
     np.testing.assert_array_equal(back.r, traj.r)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    r0_target=st.floats(min_value=0.5, max_value=5.0),
+    recovered=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_recorded_sir_row_is_on_the_h_map(n, seed, r0_target, recovered):
+    # s = H(1 - r) row by row, H the H-map of the first row, in memory and read back.
+    rng = np.random.default_rng(seed)
+    g = random_sc_graph(rng, n=n)
+    beta, gamma = r0_target / dominant_eig(g).lambda_max, 1.0
+    x0 = rng.uniform(0.0, 0.5, n)
+    r0 = rng.uniform(0.0, 0.3, n) if recovered else None
+    traj = integrate(
+        initial_state("SIR", x0, r0), ModelParams("SIR", beta, gamma), g,
+        t_end=2.0, dt=0.01, record_every=10,
+    )  # fmt: skip
+    first = EpidemicState(traj.s[0], traj.x[0], traj.r[0])
+    h = sir_fixed_point_map(g, beta, gamma, first)
+    for s, r in zip(traj.s, traj.r):
+        assert np.abs(s - h(1.0 - r)).max() <= 1e-12
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    buf.seek(0)
+    assert sir_defect(read_trajectory_csv(buf), g, beta, gamma) <= 1e-12
+
+
+def test_sir_defect_flags_other_models_and_rates():
+    g = two_node()
+    x0 = np.array([0.3, 0.1])
+    sir = integrate(initial_state("SIR", x0), ModelParams("SIR", 1.0, 0.5), g, t_end=2.0, dt=0.01)
+    sis = integrate(initial_state("SIS", x0), ModelParams("SIS", 1.0, 0.5), g, t_end=2.0, dt=0.01)
+    assert sir_defect(sir, g, 1.0, 0.5) <= 1e-15
+    assert sir_defect(sir, g, 1.001, 0.5) > 1e-6
+    assert sir_defect(sis, g, 1.0, 0.5) > 1e-2
 
 
 def test_batched_runs_equal_single_runs():

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from netepi import (
     BelowThresholdError,
+    EpidemicState,
     Graph,
+    InputError,
     ModelParams,
     NonConvergenceError,
     dominant_eig,
@@ -150,17 +152,18 @@ def test_lower_results_stay_below_upper_results(n, seed, r0):
     assert np.all(upper.x_star - lower.x_star <= tol)
     x0 = np.zeros(n)
     x0[seed % n] = 0.5
-    zero = sir_asymptotic(g, beta, gamma, 1.0 - x0, x0, np.zeros(n), tol=tol, start="zero")
-    top = sir_asymptotic(g, beta, gamma, 1.0 - x0, x0, np.zeros(n), tol=tol, start="upper")
+    state0 = initial_state("SIR", x0)
+    zero = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="zero")
+    top = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="upper")
     assert np.all(zero.s_inf <= top.s_inf) and np.all(top.s_inf - zero.s_inf <= tol)
 
 
 def test_uncertifiable_tol_raises_non_convergence():
     with pytest.raises(NonConvergenceError, match="width"):
         sis_endemic(two_node(), 1.0, 1.0, tol=1e-300)
-    g, beta, gamma, s0, x0, r0 = _sir_setup()
+    g, beta, gamma, state0 = _sir_setup()
     with pytest.raises(NonConvergenceError, match="width"):
-        sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=1e-300)
+        sir_asymptotic(g, beta, gamma, state0, tol=1e-300)
 
 
 def test_endemic_matches_long_sis_integration():
@@ -229,17 +232,15 @@ def _sir_setup(n=6, seed=0, r0_frac=0.0, x0_frac=0.05, target_r0=4.0):
     g = random_sc_graph(np.random.default_rng(seed), n=n)
     lam = dominant_eig(g).lambda_max
     beta, gamma = target_r0 / lam, 1.0
-    x0 = np.full(n, x0_frac)
-    r0 = np.full(n, r0_frac)
-    s0 = 1.0 - x0 - r0
-    return g, beta, gamma, s0, x0, r0
+    state0 = initial_state("SIR", np.full(n, x0_frac), np.full(n, r0_frac))
+    return g, beta, gamma, state0
 
 
 def test_sir_both_starts_agree():
-    g, beta, gamma, s0, x0, r0 = _sir_setup()
+    g, beta, gamma, state0 = _sir_setup()
     tol = 1e-10
-    res_zero = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="zero")
-    res_upper = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="upper")
+    res_zero = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="zero")
+    res_upper = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="upper")
     assert np.abs(res_zero.s_inf - res_upper.s_inf).max() <= 2 * tol
     np.testing.assert_allclose(res_zero.r_inf, 1.0 - res_zero.s_inf)
     assert res_zero.residual <= tol
@@ -248,15 +249,15 @@ def test_sir_both_starts_agree():
 @pytest.mark.parametrize("target_r0", [1.001, 3.0])
 @pytest.mark.parametrize("seeded", [False, True])
 def test_sir_enclosure_holds_the_dense_newton_state(target_r0, seeded):
-    g, beta, gamma, s0, x0, r0 = _sir_setup(n=30, seed=4, target_r0=target_r0)
+    g, beta, gamma, state0 = _sir_setup(n=30, seed=4, target_r0=target_r0)
     if seeded:  # as --seed-node 1: node 1 has s0 = 0, so its s(inf) is exactly 0
         x0 = np.zeros(30)
         x0[0] = 1.0
-        s0 = 1.0 - x0
+        state0 = initial_state("SIR", x0)
     tol = 1e-10
-    zero = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="zero")
-    upper = sir_asymptotic(g, beta, gamma, s0, x0, r0, tol=tol, start="upper")
-    reference = _sir_reference(g, beta, gamma, s0, r0)
+    zero = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="zero")
+    upper = sir_asymptotic(g, beta, gamma, state0, tol=tol, start="upper")
+    reference = _sir_reference(g, beta, gamma, state0.s, state0.r)
     assert np.all(zero.s_inf <= reference + REFERENCE_SLACK)
     assert np.all(reference <= upper.s_inf + REFERENCE_SLACK)
     assert zero.width == upper.width <= tol
@@ -266,9 +267,9 @@ def test_sir_enclosure_holds_the_dense_newton_state(target_r0, seeded):
 
 
 def test_sir_bracket_sequences():
-    g, beta, gamma, s0, x0, r0 = _sir_setup(seed=3)
-    h = sir_fixed_point_map(g, beta, gamma, s0, r0)
-    p, q = np.zeros_like(s0), 1.0 - r0
+    g, beta, gamma, state0 = _sir_setup(seed=3)
+    h = sir_fixed_point_map(g, beta, gamma, state0)
+    p, q = np.zeros(g.n), 1.0 - state0.r
     for _ in range(200):
         p_next, q_next = h(p), h(q)
         assert np.all(p_next >= p - SLACK)  # p(k) non-decreasing
@@ -279,8 +280,9 @@ def test_sir_bracket_sequences():
 
 
 def test_sir_fixed_point_satisfies_conserved_equation():
-    g, beta, gamma, s0, x0, r0 = _sir_setup(seed=5, r0_frac=0.1)
-    res = sir_asymptotic(g, beta, gamma, s0, x0, r0)
+    g, beta, gamma, state0 = _sir_setup(seed=5, r0_frac=0.1)
+    s0, r0 = state0.s, state0.r
+    res = sir_asymptotic(g, beta, gamma, state0)
     a = dense(g)
     rebuilt = s0 * np.exp(-(beta / gamma) * (a @ (1.0 - r0))) * np.exp(
         (beta / gamma) * (a @ res.s_inf)
@@ -289,10 +291,10 @@ def test_sir_fixed_point_satisfies_conserved_equation():
 
 
 def test_sir_matches_long_integration():
-    g, beta, gamma, s0, x0, r0 = _sir_setup(seed=8)
-    res = sir_asymptotic(g, beta, gamma, s0, x0, r0)
+    g, beta, gamma, state0 = _sir_setup(seed=8)
+    res = sir_asymptotic(g, beta, gamma, state0)
     traj = integrate(
-        initial_state("SIR", x0, r0),
+        state0,
         ModelParams("SIR", beta, gamma),
         g,
         t_end=200.0,
@@ -305,12 +307,12 @@ def test_sir_matches_long_integration():
 
 def test_sir_random_starts_converge_to_same_point():
     # The H-map converges from any start in [0, 1 - r0], not only the brackets.
-    g, beta, gamma, s0, x0, r0 = _sir_setup(seed=13, r0_frac=0.05)
-    reference = sir_asymptotic(g, beta, gamma, s0, x0, r0).s_inf
-    h = sir_fixed_point_map(g, beta, gamma, s0, r0)
+    g, beta, gamma, state0 = _sir_setup(seed=13, r0_frac=0.05)
+    reference = sir_asymptotic(g, beta, gamma, state0).s_inf
+    h = sir_fixed_point_map(g, beta, gamma, state0)
     rng = np.random.default_rng(99)
     for _ in range(5):
-        y = rng.uniform(0.0, 1.0, s0.shape[0]) * (1.0 - r0)
+        y = rng.uniform(0.0, 1.0, g.n) * (1.0 - state0.r)
         for _ in range(100_000):
             y_next = h(y)
             if np.abs(y_next - y).max() <= 1e-10:
@@ -327,30 +329,43 @@ def test_sir_vanishing_infection_below_threshold():
     beta, gamma = 0.4, 1.0
     gaps = []
     for eps in (1e-2, 1e-3, 1e-4):
-        x0 = np.full(2, eps)
-        s0 = 1.0 - x0
-        res = sir_asymptotic(g, beta, gamma, s0, x0, np.zeros(2))
-        gaps.append(np.abs(res.s_inf - s0).max())
+        state0 = initial_state("SIR", np.full(2, eps))
+        res = sir_asymptotic(g, beta, gamma, state0)
+        gaps.append(np.abs(res.s_inf - state0.s).max())
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 2e-4  # O(eps) with a modest constant
 
 
 def test_sir_validates_inputs():
-    g, beta, gamma, s0, x0, r0 = _sir_setup()
+    g, beta, gamma, state0 = _sir_setup()
+    s0, x0, r0 = state0.s, state0.x, state0.r
     with pytest.raises(ValueError):
-        sir_asymptotic(g, beta, gamma, s0, np.zeros_like(x0), r0)
+        sir_asymptotic(g, beta, gamma, initial_state("SIR", np.zeros_like(x0), r0))
     with pytest.raises(ValueError):
-        sir_asymptotic(g, beta, gamma, s0 + 0.1, x0, r0)
+        sir_asymptotic(g, beta, gamma, EpidemicState(s0 + 0.1, x0, r0))
     with pytest.raises(ValueError):
-        sir_asymptotic(g, beta, gamma, s0, x0, r0, start="sideways")
+        sir_asymptotic(g, beta, gamma, state0, start="sideways")
+
+
+def test_sir_start_needs_what_the_enclosure_box_needs():
+    g = two_node()
+    # EpidemicState admits s down to -1e-9; the box [0, 1 - r0] needs s0 >= 0.
+    below = EpidemicState([-5e-10, 0.9], [1.0 + 5e-10, 0.1], [0.0, 0.0])
+    with pytest.raises(InputError, match="^s0 must be nonnegative$"):
+        sir_asymptotic(g, 1.0, 1.0, below)
+    with pytest.raises(InputError, match="^state and graph dimensions differ$"):
+        sir_asymptotic(g, 1.0, 1.0, initial_state("SIR", [0.1, 0.1, 0.1]))
+    # x0 and r0 entries down to -1e-9 pass, as they do for integrate.
+    res = sir_asymptotic(g, 1.0, 1.0, initial_state("SIR", [0.1, -4e-10], [0.0, -4e-10]))
+    assert res.width <= 1e-10 and res.residual <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sir_rejects_non_finite_inputs(bad):
-    g, beta, gamma, s0, x0, r0 = _sir_setup()
-    x0, s0 = x0.copy(), s0.copy()
+    g, beta, gamma, state0 = _sir_setup()
+    x0, s0, r0 = state0.x.copy(), state0.s.copy(), state0.r
     x0[-1] = s0[-1] = bad
     with pytest.raises(ValueError):
-        sir_asymptotic(g, beta, gamma, s0, x0, r0)
+        sir_asymptotic(g, beta, gamma, EpidemicState(s0, x0, r0))
     with pytest.raises(ValueError):
-        sir_asymptotic(g, beta, gamma, 1.0 - x0 - r0, x0, r0)
+        sir_asymptotic(g, beta, gamma, initial_state("SIR", x0, r0))

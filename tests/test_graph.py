@@ -422,10 +422,10 @@ _ODD_TOKENS = {
     (1, 3): ["+1", "01", "1_0", "1.0", "-1", "0", "\u0661", str(MAX_NODES + 1), "9" * 20],
     (5,): ["1_0", "nan", "inf", "-inf", "0", "-0", "1e-400", "5e-324", ".5", "+2"],
     (2, 4): ["\xa0", "\u2003", "\x1f", "\x0c", "\x0b", "\r"],  # non-ASCII, or ASCII line breaks
-    (6,): [" # note", "#x", " 4", "\u2028# x"],
+    (6,): [" # note", "#x", " 4", "\u2028# x", " # café"],
 }
-_ODD_LINES = ["n 0", "n x", "n +3", "n 3 4", "n", "n 9", "  # indented", "\u2028"]
-_ODD_ENDS = ["\r", "\u2028", "\x0b", "\x1c"]
+_ODD_LINES = ["n 0", "n x", "n +3", "n 3 4", "n", "n 9", "  # indented", "\u2028", "\xa0# x"]
+_ODD_ENDS = ["\r", "\u2028", "\u2029", "\x85", "\x0b", "\x1c"]
 
 
 @st.composite
@@ -441,7 +441,8 @@ def edge_list_texts(draw):
     blank = st.sampled_from([" ", "  ", "\t", " \t "])
     lead = st.sampled_from(["", " ", "\t"])
     edge = st.tuples(lead, index, blank, index, blank, weight, st.sampled_from(["", " ", "\t"]))
-    comment = st.tuples(lead, st.sampled_from(["#", "# note", "## a # b", "#1 2 3"])).map("".join)
+    notes = ["#", "# note", "## a # b", "#1 2 3", "# café", "#\xa0x", "# 接触网络"]
+    comment = st.tuples(lead, st.sampled_from(notes)).map("".join)
     other = comment | st.sampled_from(["", " ", "\t "])
     lines = [draw(st.sampled_from(["n 7", "n 8", " n\t7 "]))] if draw(st.booleans()) else []
     lines += draw(st.lists(edge.map(list) | other, max_size=8))
@@ -482,6 +483,8 @@ def _outcome(parse, text) -> tuple:
 @example("1 2 1\n2 1 1\n1 2 0.5\n")
 @example("# c\r1 2 1\n2 1 1\n")
 @example("1 2\x0c1\n2 1 1\n")
+@example("# café\n1 2 1\n2 1 1\n")
+@example("# c\x851 2 1\n2 1 1\n")
 def test_bulk_parse_agrees_with_the_line_scan(text):
     scan = _outcome(graph._scan_graph, text)
     bulk = graph._bulk_graph(text)
@@ -503,6 +506,15 @@ def test_bulk_parse_takes_comments_blank_lines_crlf_and_tabs(text):
 
 
 _LF_TEXT = "n 4\n# contacts\n1 2 0.5\n\n2 3 1.5\n3 4 2e-3\n4 1 1\n"
+
+
+def test_utf8_comments_parse_in_bulk(monkeypatch):
+    def no_scan(text):
+        raise AssertionError("the line scan ran")
+
+    monkeypatch.setattr(graph, "_scan_graph", no_scan)
+    text = _LF_TEXT.replace("# contacts", "# réseau de contacts\n\t #\xa0接触网络 ✓")
+    assert _edges(load_graph(text)) == _edges(load_graph(_LF_TEXT))
 
 
 def test_lf_crlf_and_cr_line_ends_parse_in_bulk_to_one_graph():
