@@ -26,11 +26,11 @@ _EXPORTS = {
     "dominant_eig": "spectral",
     "spectral_radius": "spectral",
     "effective_matrix": "spectral",
-    "ModelKind": "scalar",
     "si_closed_form": "scalar",
     "sis_closed_form": "scalar",
     "sir_rinf": "scalar",
     "sir_xmax": "scalar",
+    "ModelKind": "dynamics",
     "ModelParams": "dynamics",
     "EpidemicState": "dynamics",
     "Trajectory": "dynamics",

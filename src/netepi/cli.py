@@ -34,6 +34,7 @@ from .errors import (
     InvariantViolationError,
     NonConvergenceError,
     ReducibleMatrixError,
+    require_fraction,
     require_positive,
 )
 from .graph import Graph, graph_from_rows, load_graph, require_strongly_connected
@@ -247,27 +248,34 @@ def _check_initial(args: argparse.Namespace) -> None:
     """InputError unless exactly one initial infection is given, a uniform one in [0, 1]."""
     if sum(v is not None for v in (args.x0_uniform, args.seed_node, args.x0_file)) != 1:
         raise InputError("give exactly one of --x0-uniform, --seed-node, --x0-file")
-    if args.x0_uniform is not None and not 0 <= args.x0_uniform <= 1:
-        raise InputError("--x0-uniform must lie in [0, 1]")
+    if args.x0_uniform is not None:
+        require_fraction(args.x0_uniform, "--x0-uniform")
 
 
 def _initial_state(args: argparse.Namespace, kind, n: int):
     """The run's start state: the initial infection (uniform | seed node | file), and the r0 file.
 
-    Call _check_initial first.
+    Call _check_initial first. Errors name the flags that gave the bad
+    fractions; one for x0 + r0 above 1 also names the first such node.
     """
-    from .dynamics import initial_state
+    from .dynamics import STATE_TOL, initial_state
 
     if args.x0_uniform is not None:
-        x0 = np.full(n, args.x0_uniform)
+        x0, source = np.full(n, args.x0_uniform), "--x0-uniform"
     elif args.seed_node is not None:
         if not 1 <= args.seed_node <= n:
             raise InputError(f"--seed-node must lie in 1..{n}")
-        x0 = np.zeros(n)
+        x0, source = np.zeros(n), "--seed-node"
         x0[args.seed_node - 1] = 1.0
     else:
-        x0 = _read_vector(args.x0_file, n, "x0")
-    r0 = None if args.r0_file is None else _read_vector(args.r0_file, n, "r0")
+        source = "--x0-file"
+        x0 = require_fraction(_read_vector(args.x0_file, n, "x0"), source)
+    r0 = None
+    if args.r0_file is not None:
+        r0 = require_fraction(_read_vector(args.r0_file, n, "r0"), "--r0-file")
+        over = np.flatnonzero(x0 + r0 > 1 + STATE_TOL)
+        if over.size:
+            raise InputError(f"{source} plus --r0-file exceeds 1 at node {over[0] + 1}")
     return initial_state(kind, x0, r0)
 
 
@@ -287,7 +295,7 @@ def _json_text(result) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import dynamics
-    from .scalar import ModelKind
+    from .dynamics import ModelKind
 
     _require(args, "graph", "model", "beta", "t_end")
     kind = ModelKind(args.model)
@@ -441,7 +449,7 @@ _SCALAR_UNUSED = {
 
 def _cmd_scalar(args: argparse.Namespace) -> int:
     from . import dynamics, scalar
-    from .scalar import ModelKind
+    from .dynamics import ModelKind
 
     _require(args, "model", "beta")
     kind = ModelKind(args.model)

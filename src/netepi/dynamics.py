@@ -18,15 +18,15 @@ value, are written by cli._cmd_scalar itself, with the same %.17g.
 
 from __future__ import annotations
 
+import enum
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantViolationError, require_positive
+from .errors import InputError, InvariantViolationError, require_fraction, require_positive
 from .graph import Graph
-from .scalar import ModelKind
 
 EXCURSION_TOL = 1e-9
 STATE_TOL = 1e-9
@@ -35,6 +35,12 @@ MAX_STEPS = 10**9
 # t_end / dt may differ from a whole number by this share of it: the rounding
 # of decimal inputs and of the division, not a shortened or lengthened run.
 STEP_COUNT_RTOL = 1e-12
+
+
+class ModelKind(str, enum.Enum):
+    SI = "SI"
+    SIS = "SIS"
+    SIR = "SIR"
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,8 @@ class EpidemicState:
         n = s.shape[0]
         if s.shape != (n,) or x.shape != (n,) or r.shape != (n,):
             raise InputError("s, x, r must be equal-length vectors")
-        # Written so that a NaN entry fails each test.
         for name, v in (("s", s), ("x", x), ("r", r)):
-            if not np.all((v >= -STATE_TOL) & (v <= 1 + STATE_TOL)):
-                raise InputError(f"{name} has entries outside [0, 1]")
+            require_fraction(v, name, slack=STATE_TOL)
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         if not np.abs(s + x + r - 1.0).max() <= STATE_TOL:

@@ -225,11 +225,12 @@ def sis_endemic(
     clipped to 1, which stays above x* <= 1, stopped on a certified
     enclosure l <= x* <= u with l > 0 and max(u - l) <= tol (default
     DEFAULT_TOL). bracket='lower' returns l, 'upper' returns u. Raises
-    BelowThresholdError if R0 <= 1 and NonConvergenceError if no enclosure
-    is certified.
+    InputError unless tol is positive and finite, BelowThresholdError if
+    R0 <= 1 and NonConvergenceError if no enclosure is certified.
     """
     require_positive(beta, "beta")
     require_positive(gamma, "gamma")
+    require_positive(tol, "tol")
     if bracket not in ("lower", "upper"):
         raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
     trip = dominant_eig(g)
@@ -309,11 +310,13 @@ def sir_asymptotic(
 
     Newton-GMRES from 0, stopped on a certified enclosure l <= s(inf) <= u
     in [0, 1 - r0] with max(u - l) <= tol (default DEFAULT_TOL).
-    start='zero' returns l, 'upper' returns u. Raises NonConvergenceError if
-    no enclosure is certified.
+    start='zero' returns l, 'upper' returns u. Raises InputError unless tol
+    is positive and finite, and NonConvergenceError if no enclosure is
+    certified.
     """
     require_positive(beta, "beta")
     require_positive(gamma, "gamma")
+    require_positive(tol, "tol")
     require_strongly_connected(g)
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")

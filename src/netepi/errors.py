@@ -1,10 +1,12 @@
-"""Exception hierarchy shared across the package, and its one rate check.
+"""The package's exception hierarchy, its one rate check and its one fraction check.
 
 The CLI maps these onto distinct exit codes, so analysis code should raise
 the most specific class that applies.
 """
 
 import math
+
+import numpy as np
 
 
 class NetEpiError(Exception):
@@ -29,6 +31,17 @@ def require_positive(value, name: str) -> float:
     if value is None or not (math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be positive and finite")
     return float(value)
+
+
+def require_fraction(value, name: str, slack: float = 0.0) -> np.ndarray:
+    """value as a float array; InputError naming it unless every entry lies in [0, 1].
+
+    Entries may stray slack outside the interval; NaN fails.
+    """
+    v = np.asarray(value, dtype=float)
+    if not np.all((v >= -slack) & (v <= 1 + slack)):
+        raise InputError(f"{name} must lie in [0, 1]")
+    return v
 
 
 class GraphFormatError(NetEpiError):

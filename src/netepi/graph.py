@@ -275,10 +275,7 @@ def _bulk_graph(text: str) -> Graph | None:
     text = text.replace("\r", "\n")
     if any(c in text for c in _SCAN_ONLY):
         return None
-    if not text.isascii() and any(
-        not line.isascii() and not line.lstrip(" \t").startswith("#")
-        for line in text.split("\n")
-    ):
+    if not text.isascii() and _non_ascii_data_line(text):
         return None
     header, start = None, 0
     while True:  # blank and '#' lines and at most one header, up to the first data line
@@ -318,6 +315,27 @@ def _bulk_graph(text: str) -> Graph | None:
     if repeat >= 0:
         return None
     return _edge_graph(n, rows[order], cols[order], w[order])
+
+
+def _non_ascii_data_line(text: str) -> bool:
+    """True if a line that holds a non-ASCII character is no comment line (see _bulk_graph).
+
+    Visits only the lines that hold a byte >= 0x80 of the UTF-8 text (lone
+    surrogates encoded too). No such byte is part of an ASCII character, so
+    the lines break at the '\n's.
+    """
+    raw = text.encode(errors="surrogatepass")
+    high = np.flatnonzero(np.frombuffer(raw, np.uint8) >= 0x80)
+    k = 0
+    while k < high.size:
+        pos = int(high[k])
+        end = raw.find(b"\n", pos)
+        if end < 0:
+            end = len(raw)
+        if not raw[raw.rfind(b"\n", 0, pos) + 1 : end].lstrip(b" \t").startswith(b"#"):
+            return True
+        k = int(np.searchsorted(high, end))
+    return False
 
 
 def _row_major(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, int]:

@@ -1,35 +1,21 @@
-"""Scalar (well-mixed population) SI, SIS, and SIR models.
+"""Closed forms of the scalar (well-mixed population) SI, SIS, and SIR models.
 
-Closed forms where they exist and a bisection solve for the SIR final size.
-These double as oracles for the network models: on a symmetric graph with a
-symmetric initial state every node follows the scalar solution. The scalar
-fields are the network ones on the one-node graph with a unit self-loop:
-dynamics.rhs, with SIR's (ds, dx, dr) derived from u' through s = H(u).
+Closed forms only: the SI and SIS solutions, the SIR peak, and a bisection
+solve for the SIR final size. On a symmetric graph from a symmetric state
+every node of a network model follows them. The scalar fields are the
+network ones on the one-node graph with a unit self-loop: dynamics.rhs,
+with SIR's (ds, dx, dr) derived from u' through s = H(u).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
-from .errors import BelowThresholdError, InputError, require_positive
+from .errors import BelowThresholdError, InputError, require_fraction, require_positive
 
 RINF_BRACKET_WIDTH = 1e-12
-
-
-class ModelKind(str, enum.Enum):
-    SI = "SI"
-    SIS = "SIS"
-    SIR = "SIR"
-
-
-def _check_fraction(x0):
-    x0 = np.asarray(x0)
-    # Written so that a NaN entry fails the test.
-    if not (np.all(x0 >= 0) and np.all(x0 <= 1)):
-        raise InputError("initial fraction must lie in [0, 1]")
 
 
 def si_closed_form(x0: float, beta: float, t):
@@ -39,7 +25,7 @@ def si_closed_form(x0: float, beta: float, t):
     x0 / ((1 - x0) e^{-bt} + x0) so large t cannot overflow.
     """
     require_positive(beta, "beta")
-    _check_fraction(x0)
+    require_fraction(x0, "x0")
     t = np.asarray(t, dtype=float)
     if x0 == 0.0:
         out = np.zeros_like(t)
@@ -57,7 +43,7 @@ def sis_closed_form(x0: float, beta: float, gamma: float, t):
     """
     require_positive(beta, "beta")
     require_positive(gamma, "gamma")
-    _check_fraction(x0)
+    require_fraction(x0, "x0")
     t = np.asarray(t, dtype=float)
     if beta == gamma:
         out = x0 / (1.0 + beta * x0 * t)

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NonConvergenceError
+from .errors import InputError, NonConvergenceError, require_fraction
 from .graph import Graph, _edge_graph, require_strongly_connected
 
 DEFAULT_TOL = 1e-12
@@ -180,11 +180,9 @@ def spectral_radius(g: Graph, s) -> np.ndarray:
     largest over the components, and 0 when every component is a single
     node without a self-loop. Returns the length-B array of radii.
     """
-    block = np.asarray(s, dtype=float)
+    block = require_fraction(s, "state block")
     if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != g.n:
         raise InputError(f"state block has shape {block.shape}, expected (B, {g.n})")
-    if not np.all((block >= 0) & (block <= 1)):  # NaN fails too
-        raise InputError("state block entries must lie in [0, 1]")
     width = max(1, BLOCK_ENTRIES // max(g.nnz, 1))
     live = block > 0
     changes = np.flatnonzero(np.any(live[1:] != live[:-1], axis=1)) + 1
@@ -214,11 +212,9 @@ def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
     whole series of these matrices without building them, on g's cached
     parts, one SCC pass per zero set of the series.
     """
-    s = np.asarray(s, dtype=float)
+    s = require_fraction(s, "state vector")
     if s.shape != (g.n,):
         raise InputError(f"state vector has shape {s.shape}, expected ({g.n},)")
-    if not np.all((s >= 0) & (s <= 1)):  # NaN fails too
-        raise InputError("state vector entries must lie in [0, 1]")
     return _edge_graph(g.n, g.rows, g.cols, s[g.rows] * g.weights)
 
 

@@ -924,6 +924,33 @@ def test_bad_vector_file_gives_one_error_line(pair_graph, tmp_path, text, messag
     assert proc.stderr == f"netepi: bad configuration: {message}\n"
     assert proc.stdout == ""
 
+_SIR_RATES = ["--beta", "2", "--gamma", "1"]
+_SIMULATE_SIR = ["simulate", "--model", "SIR", *_SIR_RATES, "--t-end", "1", "--dt", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["asymptotic", *_SIR_RATES, "--x0-uniform", "0.6", "--r0-file", "r0.txt"],
+         {"r0.txt": "0.3\n0.6\n"}, "--x0-uniform plus --r0-file exceeds 1 at node 2"),
+        ([*_SIMULATE_SIR, "--x0-file", "x0.txt"],
+         {"x0.txt": "0.1\n1.5\n"}, "--x0-file must lie in [0, 1]"),
+        ([*_SIMULATE_SIR, "--x0-uniform", "0.6", "--r0-file", "r0.txt"],
+         {"r0.txt": "0.3\n0.6\n"}, "--x0-uniform plus --r0-file exceeds 1 at node 2"),
+    ],
+    ids=["asymptotic-sum", "simulate-x0-file", "simulate-sum"],
+)
+def test_start_state_errors_name_the_flags(pair_graph, tmp_path, monkeypatch, capsys, argv, files,
+                                           message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([*argv, "--graph", pair_graph]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"netepi: bad configuration: {message}\n"
+    assert captured.out == ""
+
+
 def _limit_address_space():
     # 3 GB: enough for Python and numpy, too little for the arrays asked for
     # below. Without a limit an overcommitted allocation can succeed and
@@ -1012,12 +1039,12 @@ def test_stdout_equals_the_out_file(pair_graph, tmp_path, capsys, command, argv)
 _RATES = ["--graph", "pair.txt", "--beta", "2", "--gamma", "1"]
 _MODULES_BY_CALL = [
     (["endemic", *_RATES], {"equilibria", "spectral"}),
-    (["asymptotic", *_RATES, "--x0-uniform", "0.1"], {"equilibria", "spectral", "dynamics", "scalar"}),
+    (["asymptotic", *_RATES, "--x0-uniform", "0.1"], {"equilibria", "spectral", "dynamics"}),
     (["threshold", *_RATES], {"threshold", "spectral"}),
     (["simulate", *_RATES, "--model", "SIR", "--seed-node", "1", "--t-end", "1", "--dt", "0.1",
-      "--out", "traj.csv"], {"dynamics", "scalar"}),
+      "--out", "traj.csv"], {"dynamics"}),
     (["threshold", *_RATES, "--trajectory", "traj.csv", "--rt-out", "rt.csv"],
-     {"threshold", "spectral", "dynamics", "scalar"}),
+     {"threshold", "spectral", "dynamics"}),
     (["scalar", "--model", "SI", "--beta", "1", "--x0", "0.1", "--t-end", "1"], {"dynamics", "scalar"}),
 ]
 

@@ -119,14 +119,18 @@ def test_endemic_enclosure_holds_the_dense_newton_state(r0):
     assert lower.residual <= tol and upper.residual <= tol
 
 
-def test_endemic_certifies_when_the_perron_vector_spans_many_decades():
-    # A 60-node path, weight 1 forward and 0.1 back: u_max spans 3.2e29, so
-    # the upper bracket start exceeds 1 at all but a few nodes.
+def _path60() -> Graph:
+    """A 60-node path, weight 1 forward and 0.1 back: u_max spans 3.2e29."""
     n = 60
     a = np.zeros((n, n))
     a[np.arange(1, n), np.arange(n - 1)] = 1.0
     a[np.arange(n - 1), np.arange(1, n)] = 0.1
-    g = Graph(a)
+    return Graph(a)
+
+
+def test_endemic_certifies_when_the_perron_vector_spans_many_decades():
+    # The upper bracket start exceeds 1 at all but a few nodes.
+    g = _path60()
     u = dominant_eig(g).u_max
     assert u.max() / u.min() > 1e29
     beta, gamma, tol = 1.5 / dominant_eig(g).lambda_max, 1.0, 1e-10
@@ -135,6 +139,17 @@ def test_endemic_certifies_when_the_perron_vector_spans_many_decades():
     assert upper.width <= tol and upper.residual <= tol
     assert np.all(reference <= upper.x_star + REFERENCE_SLACK)
     assert np.all(upper.x_star - upper.width <= reference + REFERENCE_SLACK)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NonConvergenceError,
+    reason="Newton-GMRES certifies no enclosure on this path at R0 = 1.01 in 50 steps",
+)
+def test_endemic_certifies_near_threshold_when_the_perron_vector_spans_many_decades():
+    g = _path60()
+    result = sis_endemic(g, 1.01 / dominant_eig(g).lambda_max, 1.0)
+    assert result.x_star.min() > 0
 
 
 @given(

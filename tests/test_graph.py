@@ -426,6 +426,11 @@ _ODD_TOKENS = {
 }
 _ODD_LINES = ["n 0", "n x", "n +3", "n 3 4", "n", "n 9", "  # indented", "\u2028", "\xa0# x"]
 _ODD_ENDS = ["\r", "\u2028", "\u2029", "\x85", "\x0b", "\x1c"]
+# Past a non-ASCII comment, hundreds of distinct edges, then a data line with a
+# non-ASCII character: np.loadtxt reads "\u01fe1" as 4621, so only the line scan
+# reads the text right. The scan accepts the others.
+_FAR_EDGES = ["# café", *(f"{i} {j} 1" for i in range(8, 30) for j in range(8, 30) if i != j)]
+_FAR_LINES = ["\u01fe1 30 1", "30 8 1\u3000", "\uff13\uff10 8 1"]
 
 
 @st.composite
@@ -448,7 +453,7 @@ def edge_list_texts(draw):
     lines += draw(st.lists(edge.map(list) | other, max_size=8))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
     edges = [k for k, line in enumerate(lines) if isinstance(line, list)]
-    odd = draw(st.sampled_from([None, "token", "token", "line", "end"]))
+    odd = draw(st.sampled_from([None, "token", "token", "line", "end", "far"]))
     if odd == "token" and edges:
         slots = draw(st.sampled_from(list(_ODD_TOKENS)))
         lines[draw(st.sampled_from(edges))][draw(st.sampled_from(slots))] = draw(
@@ -459,6 +464,10 @@ def edge_list_texts(draw):
         ends.append("\n")
     elif odd == "end" and lines:
         ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_ODD_ENDS))
+    elif odd == "far":
+        far = [*_FAR_EDGES, draw(st.sampled_from(_FAR_LINES))]
+        lines += far
+        ends += ["\n"] * len(far)
     text = "".join(
         ("".join(line) if isinstance(line, list) else line) + end for line, end in zip(lines, ends)
     )
@@ -485,6 +494,8 @@ def _outcome(parse, text) -> tuple:
 @example("1 2\x0c1\n2 1 1\n")
 @example("# café\n1 2 1\n2 1 1\n")
 @example("# c\x851 2 1\n2 1 1\n")
+@example("\n".join([*_FAR_EDGES, _FAR_LINES[0]]))
+@example("# \ud800\n1 2 1\ud800\n2 1 1\n")
 def test_bulk_parse_agrees_with_the_line_scan(text):
     scan = _outcome(graph._scan_graph, text)
     bulk = graph._bulk_graph(text)

@@ -1,4 +1,4 @@
-"""Every public function that takes a rate rejects a bad one with InputError."""
+"""Every public function that takes a rate or a tolerance rejects a bad one with InputError."""
 
 import math
 
@@ -77,3 +77,16 @@ def test_bad_rates_raise_input_error(entry, rate, bad):
 def test_sir_fixed_point_map_checks_every_rate_of_a_block():
     with pytest.raises(InputError, match="^gamma must be positive and finite$"):
         sir_fixed_point_map(PAIR, 1.0, [1.0, math.nan], START)
+
+
+SOLVERS = {
+    "sis_endemic": lambda tol: sis_endemic(PAIR, 1.0, 1.0, tol=tol),
+    "sir_asymptotic": lambda tol: sir_asymptotic(PAIR, 1.0, 1.0, START, tol=tol),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_bad_tol_raises_input_error(solver, bad):
+    with pytest.raises(InputError, match="^tol must be positive and finite$"):
+        SOLVERS[solver](bad)

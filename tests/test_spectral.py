@@ -115,6 +115,16 @@ def _heavy_tailed(rng, n):
     return a
 
 
+def _lattice(rng, side):
+    """A side x side grid, neighbours joined both ways, each edge its own U(0.1, 2) weight."""
+    a = np.zeros((side * side, side * side))
+    k = np.arange(side * side).reshape(side, side)
+    for p, q in ((k[:, :-1], k[:, 1:]), (k[:-1], k[1:])):
+        a[p, q] = rng.uniform(0.1, 2.0, p.shape)
+        a[q, p] = rng.uniform(0.1, 2.0, p.shape)
+    return a
+
+
 def _scipy_perron(a) -> tuple[float, np.ndarray]:
     """scipy's eigenvalue of largest real part and its 1-normalized eigenvector."""
     w, x = eigs(csr_matrix(a), k=1, which="LR", tol=0)
@@ -123,10 +133,12 @@ def _scipy_perron(a) -> tuple[float, np.ndarray]:
 
 
 # Products for both vectors: 148 on the star and 622 on the heavy-tailed
-# graph, where a shift of 0.1 times the largest row sum took 320 and 17,954.
+# graph, where a shift of 0.1 times the largest row sum took 320 and 17,954;
+# 8,533 on the lattice, whose u_max spans 1.2e7.
 @pytest.mark.parametrize(
     "make, n, seed, budget",
-    [(_star, 2000, 0, 160), (_bipartite, 1000, 0, None), (_heavy_tailed, 1000, 5, 1800)],
+    [(_star, 2000, 0, 160), (_bipartite, 1000, 0, None), (_heavy_tailed, 1000, 5, 1800),
+     (_lattice, 30, 0, 9000)],
 )
 def test_agrees_with_scipy_on_hubs_bipartite_and_heavy_tailed_graphs(
     monkeypatch, make, n, seed, budget
