@@ -269,10 +269,10 @@ def _initial_state(args: argparse.Namespace, kind, n: int):
         x0[args.seed_node - 1] = 1.0
     else:
         source = "--x0-file"
-        x0 = require_fraction(_read_vector(args.x0_file, n, "x0"), source)
+        x0 = require_fraction(_read_vector(args.x0_file, n, "x0"), source, slack=STATE_TOL)
     r0 = None
     if args.r0_file is not None:
-        r0 = require_fraction(_read_vector(args.r0_file, n, "r0"), "--r0-file")
+        r0 = require_fraction(_read_vector(args.r0_file, n, "r0"), "--r0-file", slack=STATE_TOL)
         over = np.flatnonzero(x0 + r0 > 1 + STATE_TOL)
         if over.size:
             raise InputError(f"{source} plus --r0-file exceeds 1 at node {over[0] + 1}")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ REACH_ROUNDS = 64
 _EDGE_ROW = np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])
 # Line breaks that str.splitlines takes for the line scan and np.loadtxt does not.
 _SCAN_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -318,23 +320,14 @@ def _bulk_graph(text: str) -> Graph | None:
 
 
 def _non_ascii_data_line(text: str) -> bool:
-    """True if a line that holds a non-ASCII character is no comment line (see _bulk_graph).
-
-    Visits only the lines that hold a byte >= 0x80 of the UTF-8 text (lone
-    surrogates encoded too). No such byte is part of an ASCII character, so
-    the lines break at the '\n's.
-    """
-    raw = text.encode(errors="surrogatepass")
-    high = np.flatnonzero(np.frombuffer(raw, np.uint8) >= 0x80)
-    k = 0
-    while k < high.size:
-        pos = int(high[k])
-        end = raw.find(b"\n", pos)
-        if end < 0:
-            end = len(raw)
-        if not raw[raw.rfind(b"\n", 0, pos) + 1 : end].lstrip(b" \t").startswith(b"#"):
+    """True if a line that holds a non-ASCII character is no comment line (see _bulk_graph)."""
+    match = _NON_ASCII.search(text)
+    while match:
+        pos = match.start()
+        if not text[text.rfind("\n", 0, pos) + 1 : pos].lstrip(" \t").startswith("#"):
             return True
-        k = int(np.searchsorted(high, end))
+        end = text.find("\n", pos)
+        match = None if end < 0 else _NON_ASCII.search(text, end)
     return False
 
 

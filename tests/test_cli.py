@@ -924,6 +924,7 @@ def test_bad_vector_file_gives_one_error_line(pair_graph, tmp_path, text, messag
     assert proc.stderr == f"netepi: bad configuration: {message}\n"
     assert proc.stdout == ""
 
+
 _SIR_RATES = ["--beta", "2", "--gamma", "1"]
 _SIMULATE_SIR = ["simulate", "--model", "SIR", *_SIR_RATES, "--t-end", "1", "--dt", "0.1"]
 
@@ -937,8 +938,16 @@ _SIMULATE_SIR = ["simulate", "--model", "SIR", *_SIR_RATES, "--t-end", "1", "--d
          {"x0.txt": "0.1\n1.5\n"}, "--x0-file must lie in [0, 1]"),
         ([*_SIMULATE_SIR, "--x0-uniform", "0.6", "--r0-file", "r0.txt"],
          {"r0.txt": "0.3\n0.6\n"}, "--x0-uniform plus --r0-file exceeds 1 at node 2"),
+        ([*_SIMULATE_SIR, "--x0-uniform", "0.1", "--r0-file", "r0.txt"],
+         {"r0.txt": "0.1\n-0.5\n"}, "--r0-file must lie in [0, 1]"),
+        ([*_SIMULATE_SIR, "--seed-node", "1", "--r0-file", "r0.txt"],
+         {"r0.txt": "0.5\n0\n"}, "--seed-node plus --r0-file exceeds 1 at node 1"),
+        ([*_SIMULATE_SIR, "--x0-file", "x0.txt", "--r0-file", "r0.txt"],
+         {"x0.txt": "0.1\n0.7\n", "r0.txt": "0.2\n0.4\n"},
+         "--x0-file plus --r0-file exceeds 1 at node 2"),
     ],
-    ids=["asymptotic-sum", "simulate-x0-file", "simulate-sum"],
+    ids=["asymptotic-sum", "simulate-x0-file", "simulate-sum", "simulate-r0-file",
+         "seed-node-sum", "x0-file-sum"],
 )
 def test_start_state_errors_name_the_flags(pair_graph, tmp_path, monkeypatch, capsys, argv, files,
                                            message):
@@ -949,6 +958,17 @@ def test_start_state_errors_name_the_flags(pair_graph, tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.err == f"netepi: bad configuration: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [_SIMULATE_SIR, ["asymptotic", *_SIR_RATES]],
+                         ids=["simulate", "asymptotic"])
+def test_start_state_files_allow_round_off(pair_graph, tmp_path, monkeypatch, capsys, argv):
+    # Entries a rounding step off [0, 1], as 1 - s can leave, pass as in EpidemicState.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x0.txt").write_text("-1e-12\n0.5\n")
+    (tmp_path / "r0.txt").write_text("0.3\n-1e-12\n")
+    assert main([*argv, "--graph", pair_graph, "--x0-file", "x0.txt", "--r0-file", "r0.txt"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _limit_address_space():

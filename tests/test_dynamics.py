@@ -50,9 +50,9 @@ def test_state_validation():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_state_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\]$"):
         initial_state("SIR", np.array([0.1, bad]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^s must lie in \[0, 1\]$"):
         EpidemicState(s=np.array([0.5, bad]), x=np.array([0.5, 0.0]), r=np.zeros(2))
 
 

@@ -126,7 +126,7 @@ def test_scalar_rhs_values():
 
 
 def test_fraction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 must lie in \[0, 1\]$"):
         si_closed_form(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x0 must lie in \[0, 1\]$"):
         sis_closed_form(1.1, 1.0, 1.0, 1.0)

@@ -261,8 +261,11 @@ def test_radius_of_a_state_block_matches_single_states():
     for k in range(6):
         rho = _dense_radius(s[k][:, None] * dense(g))
         assert abs(lam[k] - rho) <= 2 * DEFAULT_TOL * rho
-    for bad in (s[:, :24], s[:0], s.ravel(), np.where(s > 0.5, np.nan, s), s + 0.5):
+    for bad in (s[:, :24], s[:0], s.ravel()):
         with pytest.raises(InputError):
+            spectral_radius(g, s=bad)
+    for bad in (np.where(s > 0.5, np.nan, s), s + 0.5):
+        with pytest.raises(InputError, match=r"^state block must lie in \[0, 1\]$"):
             spectral_radius(g, s=bad)
     mixed = s.copy()
     mixed[2, 0] = 0.0  # a second zero set
@@ -299,9 +302,9 @@ def test_effective_matrix():
     np.testing.assert_array_equal(
         dense(effective_matrix(np.array([0.5, 1.0]), g)), [[0.0, 1.0], [8.0, 0.0]]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"state vector must lie in \[0, 1\]"):
         effective_matrix(np.array([0.5, 1.5]), g)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"state vector must lie in \[0, 1\]"):
         effective_matrix(np.array([np.nan, 1.0]), g)
     with pytest.raises(ValueError):
         effective_matrix(np.ones(3), g)
