@@ -465,6 +465,11 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
             raise InputError("--s0 is required for scalar SIR")
         s0 = args.s0
         r0 = args.r0 if args.r0 is not None else 0.0
+        if not 0 < s0 <= 1:
+            raise InputError("--s0 must lie in (0, 1]")
+        require_fraction(r0, "--r0")
+        if s0 + r0 > 1:
+            raise InputError("--s0 plus --r0 exceeds 1")
         rows = [("r_inf", scalar.sir_rinf(s0, r0, beta, gamma))]
         x0 = 1.0 - s0 - r0
         if x0 > 0 and beta * s0 / gamma >= 1.0:
@@ -474,6 +479,7 @@ def _cmd_scalar(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _require(args, "x0", "t_end")
+    require_fraction(args.x0, "--x0")
     t_end = require_positive(args.t_end, "--t-end")
     dt = require_positive(args.dt, "--dt") if args.dt is not None else t_end / 200.0
     grid = np.arange(dynamics.step_count(t_end, dt, ("--t-end", "--dt")) + 1) * dt

@@ -70,9 +70,9 @@ class EpidemicState:
     r: np.ndarray
 
     def __post_init__(self):
-        s, x, r = (np.asarray(v, dtype=float) for v in (self.s, self.x, self.r))
-        n = s.shape[0]
-        if s.shape != (n,) or x.shape != (n,) or r.shape != (n,):
+        # Copies, frozen below, so the state never shares memory with the caller.
+        s, x, r = (np.array(v, dtype=float) for v in (self.s, self.x, self.r))
+        if s.ndim != 1 or x.shape != s.shape or r.shape != s.shape:
             raise InputError("s, x, r must be equal-length vectors")
         for name, v in (("s", s), ("x", x), ("r", r)):
             require_fraction(v, name, slack=STATE_TOL)
@@ -93,6 +93,8 @@ def initial_state(kind: ModelKind, x0, r0=None) -> EpidemicState:
     if kind is not ModelKind.SIR and r0 is not None and np.any(np.asarray(r0) != 0):
         raise InputError(f"{kind.value} has no recovered compartment")
     r0 = np.zeros_like(x0) if r0 is None or kind is not ModelKind.SIR else np.asarray(r0, float)
+    if r0.shape != x0.shape:
+        raise InputError("x0 and r0 must be equal-length vectors")
     return EpidemicState(s=1.0 - x0 - r0, x=x0, r=r0)
 
 
@@ -129,6 +131,8 @@ def sir_fixed_point_map(g: Graph, beta: float, gamma, state0: EpidemicState):
     require_positive(beta, "beta")
     for gv in np.ravel(gamma):
         require_positive(gv, "gamma")
+    if state0.n != g.n:
+        raise InputError("state and graph dimensions differ")
     scale = beta / np.asarray(gamma, dtype=float)
     product = g.block_product(scale.size, scale)
     offset = product(np.broadcast_to(state0.r - 1.0, (*scale.shape, g.n)))
@@ -181,6 +185,8 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
     is P bit for bit: bincount never returns -0.0); SIS is P - x (P + gamma)
     with P = beta A x, SIR is gamma (H(u) - u), each one product a call.
     """
+    if state0.n != g.n:
+        raise InputError("state and graph dimensions differ")
     y = (1.0 - state0.r if kind is ModelKind.SIR else state0.x)[None].repeat(len(gamma), axis=0)
     # One rate per entry: same-shape operands take numpy's fast loops.
     rates = np.array(gamma, dtype=float).repeat(g.n).reshape(y.shape)
@@ -280,8 +286,6 @@ def integrate(
     if record_every < 1:
         raise InputError("record_every must be >= 1")
 
-    if state0.n != g.n:
-        raise InputError("state and graph dimensions differ")
     y, f, limit, planes = _model(kind, beta, [p.gamma or 0.0 for p in batch], g, state0)
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     stages = ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4))  # stage = y + c k_in -> k_out
@@ -353,6 +357,8 @@ def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.nda
     from .spectral import dominant_eig  # here, so that integrating loads no spectral code
 
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (g.n,):
+        raise InputError("x0 and graph dimensions differ")
     trip = dominant_eig(g)
     rate = params.beta * trip.lambda_max - (params.gamma or 0.0)
     coef = float(trip.v_max @ x0) / float(trip.v_max @ trip.u_max)

@@ -145,15 +145,15 @@ def _enclosure(f, jac, y, r_norm, hi, tol, positive):
     return None
 
 
-def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
+def _certified_fixed_point(f, slope, g, y, hi, tol, upper, positive=False):
     """Fixed point of the monotone map f on [0, hi], certified to width tol.
 
     The Jacobian of f at y is diag(slope(f(y))) A, with A the adjacency of
     g. Newton steps run from y. An iterate is offered to _enclosure once the
     next step, estimated as ||y - f(y)|| times the last step's ratio
-    ||d|| / ||y - f(y)||, is at most tol. Returns (l, u, newton_steps);
-    raises NonConvergenceError if MAX_NEWTON_STEPS steps give no
-    certificate, which also happens when tol is too small for doubles.
+    ||d|| / ||y - f(y)||, is at most tol. Returns (x, steps, max|f(x) - x|,
+    max(u - l)), x = u if `upper` else l; raises NonConvergenceError if
+    MAX_NEWTON_STEPS steps certify none, as when tol is too small for doubles.
     """
     product = g.block_product(1)
     gain = None  # ||d|| / ||y - f(y)|| of the last step
@@ -169,7 +169,9 @@ def _certified_fixed_point(f, slope, g, y, hi, tol, positive=False):
         if gain is not None and r_norm * gain <= tol:
             bounds = _enclosure(f, jac, y, r_norm, hi, tol, positive)
             if bounds is not None:
-                return (*bounds, steps)
+                lo, up = bounds
+                x = up if upper else lo
+                return x, steps, float(np.abs(f(x) - x).max()), float((up - lo).max())
         if steps == MAX_NEWTON_STEPS:
             break
         # Forcing term ||r||, for inexact steps that still converge quadratically;
@@ -202,16 +204,6 @@ def sis_fixed_point_map(g: Graph, beta: float, gamma: float):
     return f
 
 
-def sis_bracket_start(u_max: np.ndarray, r0: float, bracket: str) -> np.ndarray:
-    """Canonical start vector below ('lower') or above ('upper') the endemic state, R0 > 1."""
-    scale = 1.0 - 1.0 / r0
-    if bracket == "lower":
-        return scale * u_max / u_max.max()
-    if bracket == "upper":
-        return scale * u_max / u_max.min()
-    raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
-
-
 def sis_endemic(
     g: Graph,
     beta: float,
@@ -221,15 +213,14 @@ def sis_endemic(
 ) -> EndemicResult:
     """Endemic state of the network SIS model above threshold.
 
-    Newton-GMRES on y = F_+((beta/gamma) A y) from the upper bracket start
-    clipped to 1, which stays above x* <= 1, stopped on a certified
-    enclosure l <= x* <= u with l > 0 and max(u - l) <= tol (default
-    DEFAULT_TOL). bracket='lower' returns l, 'upper' returns u. Raises
-    InputError unless tol is positive and finite, BelowThresholdError if
-    R0 <= 1 and NonConvergenceError if no enclosure is certified.
+    Newton-GMRES on y = F_+((beta/gamma) A y) from min((1 - 1/R0) u_max /
+    min(u_max), 1), above x* <= 1, stopped on a certified enclosure
+    l <= x* <= u with l > 0 and max(u - l) <= tol (default DEFAULT_TOL).
+    bracket='lower' returns l, 'upper' returns u. Raises InputError unless
+    tol is positive and finite, BelowThresholdError if R0 <= 1 and
+    NonConvergenceError if no enclosure is certified.
     """
-    require_positive(beta, "beta")
-    require_positive(gamma, "gamma")
+    f = sis_fixed_point_map(g, beta, gamma)
     require_positive(tol, "tol")
     if bracket not in ("lower", "upper"):
         raise InputError(f"bracket must be 'lower' or 'upper', got {bracket!r}")
@@ -244,23 +235,17 @@ def sis_endemic(
     if delta < NEAR_THRESHOLD_DELTA:
         warnings = (f"near threshold (delta = {delta:.3g})",)
 
-    f = sis_fixed_point_map(g, beta, gamma)
     k = beta / gamma
-    lower, upper, steps = _certified_fixed_point(
-        f,
-        lambda fy: k * (1.0 - fy) ** 2,  # f_+'(z) = 1/(1+z)^2 = (1 - f_+(z))^2
-        g,
-        np.minimum(sis_bracket_start(trip.u_max, r0, "upper"), 1.0),
-        1.0,
-        tol,
-        positive=True,
+    y0 = np.minimum((1.0 - 1.0 / r0) * trip.u_max / trip.u_max.min(), 1.0)
+    # The slope: f_+'(z) = 1/(1+z)^2 = (1 - f_+(z))^2.
+    x_star, steps, residual, width = _certified_fixed_point(
+        f, lambda fy: k * (1.0 - fy) ** 2, g, y0, 1.0, tol, upper=bracket == "upper", positive=True
     )
-    x_star = lower if bracket == "lower" else upper
     return EndemicResult(
         x_star=x_star,
         iterations=steps,
-        residual=float(np.abs(f(x_star) - x_star).max()),
-        width=float((upper - lower).max()),
+        residual=residual,
+        width=width,
         bracket=bracket,
         warnings=warnings,
     )
@@ -314,12 +299,11 @@ def sir_asymptotic(
     is positive and finite, and NonConvergenceError if no enclosure is
     certified.
     """
-    require_positive(beta, "beta")
-    require_positive(gamma, "gamma")
+    from .dynamics import sir_fixed_point_map  # here, so that endemic loads no dynamics code
+
+    h = sir_fixed_point_map(g, beta, gamma, state0)
     require_positive(tol, "tol")
     require_strongly_connected(g)
-    if state0.n != g.n:
-        raise InputError("state and graph dimensions differ")
     # EpidemicState admits s down to -STATE_TOL; the box [0, 1 - r0] needs s0 >= 0.
     if not np.all(state0.s >= 0):
         raise InputError("s0 must be nonnegative")
@@ -328,19 +312,15 @@ def sir_asymptotic(
     if start not in ("zero", "upper"):
         raise InputError(f"start must be 'zero' or 'upper', got {start!r}")
 
-    from .dynamics import sir_fixed_point_map  # here, so that endemic loads no dynamics code
-
-    h = sir_fixed_point_map(g, beta, gamma, state0)
     k = beta / gamma
-    lower, upper, steps = _certified_fixed_point(
-        h, lambda hy: k * hy, g, np.zeros(g.n), 1.0 - state0.r, tol
+    s_inf, steps, residual, width = _certified_fixed_point(
+        h, lambda hy: k * hy, g, np.zeros(g.n), 1.0 - state0.r, tol, upper=start == "upper"
     )
-    s_inf = lower if start == "zero" else upper
     return SirAsymptoticResult(
         s_inf=s_inf,
         r_inf=1.0 - s_inf,
         iterations=steps,
-        residual=float(np.abs(h(s_inf) - s_inf).max()),
-        width=float((upper - lower).max()),
+        residual=residual,
+        width=width,
         start=start,
     )

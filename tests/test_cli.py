@@ -971,6 +971,75 @@ def test_start_state_files_allow_round_off(pair_graph, tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == ""
 
 
+_PAIR_HEADER = "t,s_1,s_2,x_1,x_2,r_1,r_2\n"
+_THRESHOLD_TRAJ = ["threshold", "--graph", "pair.txt", *_SIR_RATES, "--trajectory", "traj.csv",
+                   "--rt-out", "rt.csv"]
+_SIMULATE_PAIR = ["simulate", "--graph", "pair.txt", "--beta", "1", "--t-end", "1", "--dt", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, message",
+    [
+        (["endemic", "--config", "cfg.json"], {"cfg.json": "[1, 2]"}, 2,
+         "bad configuration: config file must hold a JSON object"),
+        ([*_SIMULATE_PAIR, "--model", "SIS", "--x0-uniform", "0.1"], {}, 2,
+         "bad configuration: --gamma is required"),
+        ([*_SIMULATE_PAIR, "--model", "SIS", "--gamma", "1,x", "--x0-uniform", "0.1"], {}, 2,
+         "bad configuration: bad --gamma value '1,x'"),
+        (["threshold", "--graph", "g.json", *_SIR_RATES], {"g.json": "[[0, 1], [1, 0]"}, 3,
+         "graph error: bad matrix JSON: "),
+        ([*_SIMULATE_PAIR, "--model", "SI", "--seed-node", "3"], {}, 2,
+         "bad configuration: --seed-node must lie in 1..2"),
+        ([*_SIMULATE_PAIR, "--model", "SI", "--gamma", "1", "--x0-uniform", "0.1"], {}, 2,
+         "bad configuration: SI has no --gamma"),
+        ([*_SIMULATE_PAIR, "--model", "SIS", "--gamma", "1,2", "--x0-uniform", "0.1"], {}, 2,
+         "bad configuration: a --gamma sweep needs --out (one file per value)"),
+        (_THRESHOLD_TRAJ, {"traj.csv": "t,s_1,x_1,r_1\n0,0.9,0.1,0\n"}, 2,
+         "bad configuration: trajectory and graph node counts differ"),
+        (["scalar", "--model", "SIR", *_SIR_RATES], {}, 2,
+         "bad configuration: --s0 is required for scalar SIR"),
+        (_THRESHOLD_TRAJ, {"traj.csv": "time,s_1,s_2,x_1,x_2,r_1,r_2\n0,1,1,0,0,0,0\n"}, 2,
+         "bad configuration: not a trajectory CSV: bad header"),
+        (_THRESHOLD_TRAJ, {"traj.csv": _PAIR_HEADER + "0,1,1,0,0,0,0,0\n"}, 2,
+         "bad configuration: trajectory CSV rows do not match the header"),
+        (_THRESHOLD_TRAJ, {"traj.csv": _PAIR_HEADER + "0,1,1,0,0,0,0\n0,1,1,0,0,0,0\n"}, 2,
+         "bad configuration: trajectory times must be strictly increasing"),
+    ],
+    ids=["config-not-object", "gamma-missing", "gamma-bad", "matrix-json", "seed-node-range",
+         "SI-gamma", "sweep-no-out", "trajectory-n", "scalar-SIR-s0", "trajectory-header",
+         "trajectory-row-width", "trajectory-times"],
+)
+def test_rejections_exit_with_their_message(tmp_path, monkeypatch, capsys, argv, files, code,
+                                            message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.txt").write_text("1 2 1.0\n2 1 1.0\n")
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"netepi: {message}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["SI", "--x0", "nan", "--t-end", "1"], "--x0 must lie in [0, 1]"),
+        (["SIS", "--gamma", "0.5", "--x0", "1.5", "--t-end", "1"], "--x0 must lie in [0, 1]"),
+        (["SIR", "--gamma", "1", "--s0", "nan"], "--s0 must lie in (0, 1]"),
+        (["SIR", "--gamma", "1", "--s0", "0"], "--s0 must lie in (0, 1]"),
+        (["SIR", "--gamma", "1", "--s0", "0.5", "--r0", "nan"], "--r0 must lie in [0, 1]"),
+        (["SIR", "--gamma", "1", "--s0", "0.5", "--r0", "0.7"], "--s0 plus --r0 exceeds 1"),
+    ],
+    ids=["SI-x0-nan", "SIS-x0-above-1", "SIR-s0-nan", "SIR-s0-zero", "SIR-r0-nan", "SIR-sum"],
+)
+def test_scalar_fraction_errors_name_the_flags(capsys, argv, message):
+    assert main(["scalar", "--beta", "2", "--model", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"netepi: bad configuration: {message}\n"
+    assert captured.out == ""
+
+
 def _limit_address_space():
     # 3 GB: enough for Python and numpy, too little for the arrays asked for
     # below. Without a limit an overcommitted allocation can succeed and

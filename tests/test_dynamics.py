@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from netepi import (
     EpidemicState,
+    InputError,
     InvariantViolationError,
     ModelKind,
     ModelParams,
@@ -46,6 +47,39 @@ def test_state_validation():
         EpidemicState(s=np.array([0.5]), x=np.array([0.2]), r=np.array([0.5]))
     with pytest.raises(ValueError):
         initial_state("SI", np.array([0.5]), r0=np.array([0.1]))
+
+
+_THREE = initial_state("SIR", [0.1, 0.1, 0.1])  # one node more than two_node()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: sir_fixed_point_map(g, 1.0, 1.0, _THREE), "state and graph dimensions differ"),
+        (lambda g: rhs(_THREE, ModelParams("SI", 1.0), g), "state and graph dimensions differ"),
+        (lambda g: rhs(_THREE, ModelParams("SIS", 1.0, 1.0), g), "state and graph dimensions differ"),
+        (lambda g: rhs(_THREE, ModelParams("SIR", 1.0, 1.0), g), "state and graph dimensions differ"),
+        (lambda g: initial_state("SIR", [0.1, 0.1], [0.1, 0.1, 0.1]),
+         "x0 and r0 must be equal-length vectors"),
+        (lambda g: initial_growth_approx(g, ModelParams("SI", 1.0), [0.1, 0.1, 0.1], 1.0),
+         "x0 and graph dimensions differ"),
+        (lambda g: EpidemicState(0.5, 0.5, 0.0), "s, x, r must be equal-length vectors"),
+    ],
+    ids=["h-map", "rhs-SI", "rhs-SIS", "rhs-SIR", "initial_state", "initial_growth_approx",
+         "0-d-state"],
+)
+def test_size_mismatches_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call(two_node())
+
+
+def test_state_copies_the_callers_vectors():
+    x = np.array([0.1, 0.2])
+    state = initial_state("SIS", x)
+    assert state.x is not x and not state.x.flags.writeable
+    x[0] = 0.3  # the caller's array stays writable
+    np.testing.assert_array_equal(state.x, [0.1, 0.2])
+    np.testing.assert_array_equal(state.s, [0.9, 0.8])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -219,6 +253,18 @@ def test_large_step_raises_on_negative_sir_x(t_end):
     x0 = np.array([0.5, 0.0, 0.0, 0.0])
     with pytest.raises(InvariantViolationError, match=r"x fell below 0 by .* at t = 0\.5; reduce dt"):
         integrate(initial_state("SIR", x0), ModelParams("SIR", 0.5, 5.0), complete_graph(4), t_end=t_end, dt=0.5)
+
+
+def test_roundoff_excursions_are_clamped(clamps):
+    # One SI step from (0.999, 0.5) at beta = 100 overshoots node 1 by about
+    # 1e-9: just under EXCURSION_TOL it is clamped back to exactly 1, just
+    # over it the run fails.
+    g, state0, params = symmetric_pair(), initial_state("SI", [0.999, 0.5]), ModelParams("SI", 100.0)
+    dt = 0.021640957997914257
+    traj = integrate(state0, params, g, t_end=dt, dt=dt)
+    assert len(clamps) == 1 and traj.x[-1, 0] == 1.0
+    with pytest.raises(InvariantViolationError, match=r"^state left \[0, 1\] by 3\.31e-09 at"):
+        integrate(state0, params, g, t_end=0.021641, dt=0.021641)
 
 
 def test_growth_approx_projection_at_t0():

@@ -20,7 +20,6 @@ from netepi import (
     sis_endemic_expansion_threshold,
     sis_fixed_point_map,
 )
-from netepi.equilibria import sis_bracket_start
 
 from conftest import complete_graph, dense, directed_ring, random_sc_graph, symmetric_pair, two_node
 
@@ -74,6 +73,11 @@ def test_two_node_endemic_hand_solve():
     assert res.residual <= 1e-12
 
 
+def test_endemic_rejects_an_unknown_bracket():
+    with pytest.raises(InputError, match="^bracket must be 'lower' or 'upper', got 'middle'$"):
+        sis_endemic(two_node(), 1.0, 1.0, bracket="middle")
+
+
 def test_below_threshold_rejected():
     g = two_node()  # lambda_max = 4
     with pytest.raises(BelowThresholdError, match="R0"):
@@ -87,8 +91,10 @@ def test_bracket_monotonicity_and_agreement():
     beta = 2.5 / trip.lambda_max  # R0 = 2.5
     f = sis_fixed_point_map(g, beta, gamma)
 
-    lower = sis_bracket_start(trip.u_max, 2.5, "lower")
-    upper = sis_bracket_start(trip.u_max, 2.5, "upper")
+    # The canonical starts (1 - 1/R0) u_max / max(u_max) and / min(u_max).
+    scale = 1.0 - 1.0 / 2.5
+    lower = scale * trip.u_max / trip.u_max.max()
+    upper = scale * trip.u_max / trip.u_max.min()
     y_lo, y_up = lower, upper
     for _ in range(300):
         y_lo_next, y_up_next = f(y_lo), f(y_up)
