@@ -79,7 +79,8 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["SI", "SIS", "SIR"])
     add_initial_state(p)
     p.add_argument("--t-end", type=float)
-    p.add_argument("--dt", type=float)
+    dt_help = "RK4 step; default: --t-end over the fewest whole steps of at most 1e-3 / max(beta, gamma)"
+    p.add_argument("--dt", type=float, help=dt_help + ", one step for a whole --gamma sweep")
     p.add_argument("--record-every", type=int, default=1)
 
     width_help = "largest width of the certified enclosure"
@@ -309,11 +310,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if kind is not ModelKind.SIR and args.r0_file is not None:
         raise InputError(f"--r0-file only applies to SIR, not {kind.value}")
     params = [dynamics.ModelParams(kind=kind, beta=beta, gamma=gv) for gv in gammas]
-    dt = None if args.dt is None else require_positive(args.dt, "--dt")
-    steps = [dt if dt is not None else dynamics.default_step(p) for p in params]
     t_end = require_positive(args.t_end, "--t-end")
-    for step in dict.fromkeys(steps):
-        dynamics.step_count(t_end, step, ("--t-end", "--dt"))
+    dt = dynamics.default_step(params, t_end) if args.dt is None else require_positive(args.dt, "--dt")
+    dynamics.step_count(t_end, dt, ("--t-end", "--dt" if args.dt is not None else "the default step"))
     if args.record_every < 1:
         raise InputError("--record-every must be >= 1")
     _check_initial(args)
@@ -323,22 +322,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     state0 = _initial_state(args, kind, g.n)
 
-    trajectories = {}
-    # The runs that share a step size integrate together, one row each.
-    for dt in dict.fromkeys(steps):
-        members = [i for i, step in enumerate(steps) if step == dt]
-        runs = dynamics.integrate(
-            state0,
-            [params[i] for i in members],
-            g,
-            t_end=t_end,
-            dt=dt,
-            record_every=args.record_every,
-        )
-        trajectories.update(zip(members, runs))
-    for i, path in enumerate(paths):
+    runs = dynamics.integrate(state0, params, g, t_end=t_end, dt=dt, record_every=args.record_every)
+    for run, path in zip(runs, paths):
         with _output(path) as fp:
-            dynamics.write_trajectory_csv(trajectories[i], fp)
+            dynamics.write_trajectory_csv(run, fp)
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ Runge-Kutta with a fixed step: the systems are smooth and non-stiff at the
 scales this package targets, and a fixed step keeps invariant monitoring
 deterministic. Roundoff-sized excursions from the box are clamped; anything
 larger than EXCURSION_TOL is treated as an integration failure, not noise.
-Several parameter sets integrate together as the rows of one (B, n) block,
-so a recovery-rate sweep pays for one sparse product per RK4 stage.
+Several parameter sets integrate together at one step, by default the
+fastest rate's (default_step), as the rows of one (B, n) block, so a
+recovery-rate sweep pays for one sparse product per RK4 stage.
 Every numeric CSV of the package, trajectories and series alike, goes
 through one row writer, write_csv, which formats and writes one row at a
 time; only `scalar --model SIR`'s quantity,value rows, which name each
@@ -19,6 +20,7 @@ value, are written by cli._cmd_scalar itself, with the same %.17g.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -216,8 +218,18 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
     return y, f, None, lambda x: (1.0 - x, x, np.zeros_like(x))
 
 
-def default_step(params: ModelParams) -> float:
-    return 1e-3 / max(params.beta, params.gamma or 0.0)
+def default_step(batch: Sequence[ModelParams], t_end: float) -> float:
+    """The step of a batch given no dt: t_end over the fewest whole steps of at most 1e-3 / rate.
+
+    rate is the batch's largest beta or gamma. A t_end within STEP_COUNT_RTOL of a whole number
+    of 1e-3 / rate steps keeps that count; outside (0, MAX_STEPS] steps the step is 1e-3 / rate.
+    """
+    step = 1e-3 / max(max(p.beta, p.gamma or 0.0) for p in batch)
+    steps = t_end / step
+    if not 0 < steps <= MAX_STEPS:
+        return step
+    n_steps = round(steps)
+    return t_end / (n_steps if abs(steps - n_steps) <= STEP_COUNT_RTOL * n_steps else math.ceil(steps))
 
 
 def step_count(t_end: float, dt: float, names=("t_end", "dt")) -> int:
@@ -252,11 +264,12 @@ def integrate(
     """Integrate the network model with fixed-step RK4.
 
     One ModelParams gives one Trajectory. A sequence of B parameter sets
-    sharing kind, beta and step size gives a list of B trajectories, in
-    order, all started from state0: they are integrated together as the
-    rows of one (B, n) working block (see _model), so each RK4 stage costs
-    one sparse product, and row j is bit-identical to integrating params[j]
-    on its own. The RK4 stages reuse buffers allocated once per run, the
+    sharing kind and beta gives a list of B trajectories, in order, all
+    started from state0 and stepped by one dt, default_step(batch, t_end)
+    if none is given: they are integrated together as the rows of one
+    (B, n) working block (see _model), so each RK4 stage costs one sparse
+    product, and row j is bit-identical to integrating params[j] on its own
+    at that dt. The RK4 stages reuse buffers allocated once per run, the
     state is updated in place, and recording copies it into a block of
     records sized from n_steps and record_every, shrunk on a stationary stop.
 
@@ -277,11 +290,7 @@ def integrate(
     kind, beta = batch[0].kind, batch[0].beta
     if any(p.kind is not kind or p.beta != beta for p in batch):
         raise InputError("batched runs must share model kind and beta")
-    if dt is None:
-        steps = {default_step(p) for p in batch}
-        if len(steps) > 1:
-            raise InputError("batched runs must share one step size; pass dt")
-        dt = steps.pop()
+    dt = default_step(batch, t_end) if dt is None else dt
     n_steps = step_count(t_end, dt)
     if record_every < 1:
         raise InputError("record_every must be >= 1")

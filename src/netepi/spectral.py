@@ -104,6 +104,7 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+@np.errstate(over="ignore")  # an overflowed ratio only keeps the certificate open
 def _power_iteration(product, tol, x):
     """Iterate each row x -> (M x + c x) / ||.||_1 until its Collatz-Wielandt bounds close.
 

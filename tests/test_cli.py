@@ -160,8 +160,8 @@ def _simulate(graph, model, gamma, out, *extra):
     [
         ("SIS", ["0.4", "0.8", "3"], ["--dt", "0.01"]),
         ("SIR", ["0.4", "0.8", "3"], ["--dt", "0.01"]),
-        # Without --dt the step is 1e-3 / max(beta, gamma): two runs share
-        # 0.002, the others get 0.00125 and 0.0003125.
+        # Without --dt the whole sweep takes the step of its fastest rate,
+        # 1e-3 / 3.2 = 0.5 / 1600: single runs given that step match it.
         ("SIS", ["0.2", "0.4", "0.8", "3.2"], []),
     ],
 )
@@ -169,7 +169,7 @@ def test_sweep_files_equal_single_runs(g20_file, tmp_path, model, gammas, extra)
     assert _simulate(g20_file, model, ",".join(gammas), tmp_path / "sweep.csv", *extra) == 0
     for gv in gammas:
         single = tmp_path / f"single{gv}.csv"
-        assert _simulate(g20_file, model, gv, single, *extra) == 0
+        assert _simulate(g20_file, model, gv, single, *(extra or ["--dt", "0.0003125"])) == 0
         assert (tmp_path / f"sweep_gamma{gv}.csv").read_bytes() == single.read_bytes()
 
 
@@ -230,6 +230,22 @@ def test_simulate_needs_a_whole_bounded_step_count(pair_graph, tmp_path, capsys,
     captured = capsys.readouterr()
     assert "bad configuration" in captured.err and message in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "beta, t_end, rows", [("1.2345678", "20", 24693), ("1", "0.0005", 2), ("1", "1.00005", 1002)]
+)
+def test_simulate_without_dt_takes_a_whole_step_count(pair_graph, tmp_path, capsys, beta, t_end, rows):
+    # No t_end is a whole number of 1e-3 / rate steps: the default step is shortened to one.
+    out = tmp_path / "traj.csv"
+    code = main(
+        ["simulate", "--graph", pair_graph, "--model", "SIR", "--beta", beta, "--gamma", "1",
+         "--seed-node", "1", "--t-end", t_end, "--out", str(out)]
+    )
+    assert code == 0 and capsys.readouterr().err == ""
+    with open(out) as fp:
+        traj = read_trajectory_csv(fp)
+    assert len(traj) == rows and traj.times[-1] == pytest.approx(float(t_end), rel=1e-12)
 
 
 def test_jobs_is_rejected(g20_file, tmp_path, capsys):
@@ -869,12 +885,15 @@ SIMULATE_SIS = ["simulate", "--graph", "missing.txt", "--model", "SIS", "--beta"
         ([*SIMULATE_SIS, "--dt", "0"], "--dt must be positive and finite"),
         ([*SIMULATE_SIS, "--t-end", "1.05"],
          "--t-end = 1.05 is not a whole number of steps --dt = 0.1"),
+        ([*SIMULATE_SIS[:-2], "--t-end", "1e300"],
+         "--t-end / the default step = 1e+303 steps exceeds the limit of 1000000000"),
         ([*SIMULATE_SIS, "--record-every", "0"], "--record-every must be >= 1"),
         ([*SIMULATE_SIS, "--x0-uniform", "1.5"], "--x0-uniform must lie in [0, 1]"),
         ([*SIMULATE_SIS, "--r0-file", "missing.txt"], "--r0-file only applies to SIR, not SIS"),
     ],
     ids=["endemic-beta", "threshold-gamma", "asymptotic-tol", "asymptotic-x0", "simulate-dt",
-         "simulate-t-end", "simulate-record-every", "simulate-x0-uniform", "simulate-r0-file"],
+         "simulate-t-end", "simulate-default-step", "simulate-record-every", "simulate-x0-uniform",
+         "simulate-r0-file"],
 )
 def test_flags_are_checked_before_any_file_is_read(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

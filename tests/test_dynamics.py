@@ -28,6 +28,7 @@ from netepi import (
     sir_rinf,
     write_trajectory_csv,
 )
+from netepi.dynamics import default_step, step_count
 from netepi.graph import Graph
 
 from conftest import complete_graph, dense, random_sc_graph, rk4, symmetric_pair, two_node
@@ -373,6 +374,28 @@ def test_late_decay_window_errors():
         late_time_decay_rates(short, (0.0, 1.0))
 
 
+_SELF_LOOP = Graph(np.array([[1.0]]))
+_SI_START = initial_state("SI", [0.3])
+_SI_RUN = integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=20.0, dt=0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: step_count(1.0, 0.0), "dt must be positive"),
+        (lambda: integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=0.0), "t_end must be at least dt"),
+        (lambda: integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=1.0, dt=0.5, record_every=0),
+         "record_every must be >= 1"),
+        (lambda: late_time_decay_rates(_SI_RUN, (15.0, 30.0)), "window outside trajectory"),
+        (lambda: late_time_decay_rates(_SI_RUN, (15.0, 15.4)), "window contains fewer than two samples"),
+    ],
+    ids=["step_count-dt", "integrate-zero-t_end", "integrate-record_every", "decay-window-outside", "decay-window-one-sample"],
+)
+def test_bad_steps_and_windows_raise_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        call()
+
+
 def test_trajectory_csv_round_trip():
     g = two_node()
     traj = integrate(
@@ -547,10 +570,37 @@ def test_batch_must_share_kind_beta_and_step():
         ([], "at least one"),
         ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIS", 2.0, 0.5)], "kind and beta"),
         ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIR", 1.0, 0.5)], "kind and beta"),
-        ([ModelParams("SIS", 1.0, 0.5), ModelParams("SIS", 1.0, 2.0)], "step size"),
     ]:
         with pytest.raises(ValueError, match=message):
             integrate(state0, batch, g, t_end=1.0)
+
+
+def test_batch_without_dt_runs_at_its_fastest_rates_step():
+    g = two_node()
+    state0 = initial_state("SIS", np.array([0.1, 0.2]))
+    batch = [ModelParams("SIS", 1.0, 0.5), ModelParams("SIS", 1.0, 2.0)]
+    assert default_step(batch, 1.0) == 0.0005
+    for params, run in zip(batch, integrate(state0, batch, g, t_end=1.0)):
+        alone = integrate(state0, params, g, t_end=1.0, dt=0.0005)
+        for name in ("times", "s", "x", "r"):
+            assert np.array_equal(getattr(run, name), getattr(alone, name))
+
+
+@pytest.mark.parametrize(
+    "rates, t_end, steps",
+    [
+        ((1.0, 1.0), 1.0, 1000),
+        ((0.5, 3.2), 0.5, 1600),  # a whole number of 1e-3 / 3.2 steps keeps its count
+        ((1.2345678, 1.0), 20.0, 24692),  # 24691.4 steps of 1e-3 / 1.2345678 round up
+        ((1.0, 1.0), 0.0005, 1),  # shorter than 1e-3: one step
+        ((1.0, 1.0), 1.00005, 1001),
+    ],
+)
+def test_default_step_is_a_whole_step_count_of_at_most_1e_3_over_the_rate(rates, t_end, steps):
+    beta, gamma = rates
+    dt = default_step([ModelParams("SIR", beta, gamma)], t_end)
+    assert dt == t_end / steps and dt * max(rates) <= 1e-3
+    assert step_count(t_end, dt) == steps
 
 
 def test_trajectory_csv_matches_per_value_formatting():

@@ -239,6 +239,12 @@ def test_expansion_high_rate_regular_graph_exact():
     np.testing.assert_allclose(exact, approx, atol=1e-10)
 
 
+@pytest.mark.parametrize("adjacency", [[[0.0, 1.0], [0.0, 0.0]], [[0.0]]], ids=["sink", "no-edges"])
+def test_expansion_high_rate_needs_positive_row_sums(adjacency):
+    with pytest.raises(InputError, match=r"^every node needs positive out-strength \(row sum\)$"):
+        sis_endemic_expansion_high_rate(Graph(np.array(adjacency)), 1.0, 0.5)
+
+
 def test_expansion_high_rate_limit():
     g = two_node()
     np.testing.assert_allclose(

@@ -83,6 +83,21 @@ def test_load_rejects_malformed(text):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(np.ones((2, 3))), r"adjacency must be square, got shape \(2, 3\)"),
+        (lambda: Graph(np.zeros((0, 0))), "graph needs at least one node"),
+        (lambda: Graph(np.array([[0.0, np.nan], [1.0, 0.0]])), "adjacency entries must be finite"),
+        (lambda: load_graph("1 2 1.0\nn 2\n2 1 1.0\n"), "line 2: header must precede edges"),
+    ],
+    ids=["non-square", "empty", "nan", "late-header"],
+)
+def test_bad_matrices_and_headers_raise_graph_format_error(build, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         (f"n {MAX_NODES + 1}\n1 2 1.0\n", 1),

@@ -7,6 +7,7 @@ from netepi import (
     BelowThresholdError,
     EpidemicState,
     Graph,
+    InputError,
     ModelKind,
     ModelParams,
     initial_state,
@@ -82,6 +83,12 @@ def test_sir_xmax_formula_and_boundary():
     assert expected == pytest.approx(0.6215, abs=1e-4)
     with pytest.raises(BelowThresholdError):
         sir_xmax(0.4, 0.1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("s0, x0", [(0.0, 0.1), (0.5, 0.0), (0.6, 0.5), (math.nan, 0.1)])
+def test_sir_xmax_needs_a_start_with_infection(s0, x0):
+    with pytest.raises(InputError, match=r"^need s0 > 0, x0 > 0, s0 \+ x0 <= 1$"):
+        sir_xmax(s0, x0, 2.0, 1.0)
 
 
 @pytest.mark.parametrize(

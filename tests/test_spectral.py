@@ -55,6 +55,17 @@ def test_two_node_hand_solve():
     np.testing.assert_allclose(trip.v_max, [2 / 3, 1 / 3], atol=1e-11)
 
 
+def test_weights_near_the_float_limit_certify_without_a_warning():
+    # A ratio (A u)_i / u_i of the uniform start overflows; the run still
+    # certifies, and RuntimeWarning is an error under this suite's filters.
+    a = np.zeros((3, 3))
+    a[0, 1] = a[0, 2] = a[1, 0] = a[2, 0] = 1e308
+    trip = dominant_eig(Graph(a))
+    assert trip.lambda_max == pytest.approx(np.sqrt(2) * 1e308, rel=1e-11)
+    assert trip.width <= DEFAULT_TOL * trip.lambda_max
+    np.testing.assert_allclose(trip.v_max, trip.u_max, rtol=1e-11)  # A is symmetric
+
+
 def test_residual_invariants_and_normalization():
     for seed in range(5):
         g = random_sc_graph(np.random.default_rng(seed), n=8)
