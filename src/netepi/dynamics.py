@@ -7,7 +7,7 @@ s + x + r = 1 holds by construction. The integrator is classic fourth-order
 Runge-Kutta with a fixed step: the systems are smooth and non-stiff at the
 scales this package targets, and a fixed step keeps invariant monitoring
 deterministic. Roundoff-sized excursions from the box are clamped; anything
-larger than EXCURSION_TOL is treated as an integration failure, not noise.
+larger than STATE_TOL is treated as an integration failure, not noise.
 Several parameter sets integrate together at one step, by default the
 fastest rate's (default_step), as the rows of one (B, n) block, so a
 recovery-rate sweep pays for one sparse product per RK4 stage.
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import InputError, InvariantViolationError, require_fraction, require_positive
 from .graph import Graph
 
-EXCURSION_TOL = 1e-9
 STATE_TOL = 1e-9
 STATIONARY_TOL = 1e-10
 MAX_STEPS = 10**9
@@ -182,7 +181,7 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
     y holds b copies of x (SI, SIS) or u = 1 - r (SIR). f(y, out) writes the
     field into out, which must not overlap y, and returns it; row j recovers
     at gamma[j]. A field value above limit (if not None) means a derived
-    x < -EXCURSION_TOL. planes(records) turns recorded rows (rows, b, n),
+    x < -STATE_TOL. planes(records) turns recorded rows (rows, b, n),
     which it may overwrite, into s, x and r. SI is SIS at gamma = 0 (P + 0.0
     is P bit for bit: bincount never returns -0.0); SIS is P - x (P + gamma)
     with P = beta A x, SIR is gamma (H(u) - u), each one product a call.
@@ -205,7 +204,7 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
             # f has checked every x against the margin; inside it, x is clamped to 0.
             return s, np.maximum(u - s, 0.0), np.subtract(1.0, u, u)
 
-        return y, f, EXCURSION_TOL * rates, planes
+        return y, f, STATE_TOL * rates, planes
 
     pressure = g.block_product(len(gamma), beta)
 
@@ -235,11 +234,14 @@ def default_step(batch: Sequence[ModelParams], t_end: float) -> float:
 def step_count(t_end: float, dt: float, names=("t_end", "dt")) -> int:
     """Steps dt in t_end; InputError unless whole within STEP_COUNT_RTOL and at most MAX_STEPS.
 
-    The messages call t_end and dt by names, such as the flags that gave them.
+    A t_end that is not finite fails before the count is taken. The messages
+    call t_end and dt by names, such as the flags that gave them.
     """
     t, d = names
-    if dt <= 0:
+    if not dt > 0:
         raise InputError(f"{d} must be positive")
+    if not math.isfinite(t_end):
+        raise InputError(f"{t} must be finite")
     if t_end < dt:
         raise InputError(f"{t} must be at least {d}")
     steps = t_end / dt
@@ -281,7 +283,7 @@ def integrate(
 
     Raises InputError unless t_end is a whole number of steps dt (see
     step_count). Raises InvariantViolationError if a step leaves [0, 1]^n
-    (for SIR: u, or the derived x) by more than EXCURSION_TOL (meaning dt
+    (for SIR: u, or the derived x) by more than STATE_TOL (meaning dt
     is too large) or produces NaN, in any row.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
@@ -335,14 +337,14 @@ def integrate(
             if np.any(np.isnan(y)):
                 raise InvariantViolationError(f"NaN in state at t = {k * dt:.6g}; reduce dt")
             excursion = max(hi - 1.0, -lo, 0.0)
-            if excursion >= EXCURSION_TOL:
+            if excursion >= STATE_TOL:
                 raise InvariantViolationError(
                     f"state left [0, 1] by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
                 )
             np.clip(y, 0.0, 1.0, out=y)
         f(y, k1)  # the next step's first stage
         if limit is not None and (k1 > limit).any():
-            excursion = EXCURSION_TOL * (k1 / limit).max()
+            excursion = STATE_TOL * (k1 / limit).max()
             raise InvariantViolationError(
                 f"x fell below 0 by {excursion:.3g} at t = {k * dt:.6g}; reduce dt"
             )

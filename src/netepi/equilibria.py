@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .dynamics import EpidemicState
 
 DEFAULT_TOL = 1e-10
-NEAR_THRESHOLD_DELTA = 1e-3
 MAX_NEWTON_STEPS = 50
 GMRES_RESTART = 50  # Krylov vectors per GMRES cycle
 GMRES_CYCLES = 20  # restarts before GMRES returns its best iterate
@@ -54,7 +53,6 @@ class EndemicResult:
     residual: float  # max |F(x_star) - x_star|
     width: float  # max(u - l) of the enclosure l <= x* <= u
     bracket: str  # 'lower': x_star = l, 'upper': x_star = u
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -230,10 +228,6 @@ def sis_endemic(
         raise BelowThresholdError(
             f"R0 = beta*lambda_max/gamma = {r0:.6g} <= 1: no endemic state exists"
         )
-    delta = r0 - 1.0
-    warnings = ()
-    if delta < NEAR_THRESHOLD_DELTA:
-        warnings = (f"near threshold (delta = {delta:.3g})",)
 
     k = beta / gamma
     y0 = np.minimum((1.0 - 1.0 / r0) * trip.u_max / trip.u_max.min(), 1.0)
@@ -247,7 +241,6 @@ def sis_endemic(
         residual=residual,
         width=width,
         bracket=bracket,
-        warnings=warnings,
     )
 
 

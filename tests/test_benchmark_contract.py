@@ -1,10 +1,12 @@
 """What the benchmark under benchmarks/ needs from the package, checked fast.
 
-The benchmark traces public functions by name and runs `netepi` command
-lines; a removed name or flag would otherwise show only in its own, much
-slower, smoke test (python -m pytest benchmarks).
+The benchmark traces public functions by name, runs `netepi` command
+lines and reads keys of their JSON output; a removed name, flag or key
+would otherwise show only in its own, much slower, smoke test
+(python -m pytest benchmarks).
 """
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from netepi import EndemicResult, SirAsymptoticResult, ThresholdReport
 from netepi.cli import build_parser
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -24,6 +27,19 @@ def test_traced_names_resolve():
         module = importlib.import_module(f"netepi.{module_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"netepi.{module_name}.{name}"
+
+
+@pytest.mark.parametrize(
+    "result, keys",
+    [
+        (ThresholdReport, {"lambda_max", "r0", "crossing_time"}),
+        (EndemicResult, {"x_star", "iterations"}),
+        (SirAsymptoticResult, {"s_inf", "r_inf", "iterations"}),
+    ],
+)
+def test_json_keys_the_benchmark_reads(result, keys):
+    # The CLI writes one JSON key per field; checks.py and run.py read these.
+    assert keys <= {f.name for f in dataclasses.fields(result)}
 
 
 @pytest.mark.parametrize("workload", workloads.NAMES)

@@ -59,7 +59,7 @@ def test_endemic_json_document(pair_graph, tmp_path, capsys):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"x_star", "iterations", "residual", "width", "bracket", "warnings"}
+    assert set(doc) == {"x_star", "iterations", "residual", "width", "bracket"}
     np.testing.assert_allclose(doc["x_star"], 0.5, atol=1e-9)  # 1 - gamma/(beta*1)
     assert doc["bracket"] == "lower"
     assert doc["residual"] <= 1e-10

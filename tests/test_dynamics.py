@@ -258,7 +258,7 @@ def test_large_step_raises_on_negative_sir_x(t_end):
 
 def test_roundoff_excursions_are_clamped(clamps):
     # One SI step from (0.999, 0.5) at beta = 100 overshoots node 1 by about
-    # 1e-9: just under EXCURSION_TOL it is clamped back to exactly 1, just
+    # 1e-9: just under STATE_TOL it is clamped back to exactly 1, just
     # over it the run fails.
     g, state0, params = symmetric_pair(), initial_state("SI", [0.999, 0.5]), ModelParams("SI", 100.0)
     dt = 0.021640957997914257
@@ -377,19 +377,29 @@ def test_late_decay_window_errors():
 _SELF_LOOP = Graph(np.array([[1.0]]))
 _SI_START = initial_state("SI", [0.3])
 _SI_RUN = integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=20.0, dt=0.5)
+# Fully infected at the end, with s = 0 inside the window [1, 2].
+_S_ZERO_RUN = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[0.5], [0.0], [0.0]]),
+                         np.array([[0.5], [1.0], [1.0]]), np.zeros((3, 1)))
+_SIS_PAIR = (initial_state("SIS", [0.1, 0.1]), ModelParams("SIS", 1.0, 1.0), symmetric_pair())
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: step_count(1.0, 0.0), "dt must be positive"),
+        (lambda: step_count(1.0, float("nan")), "dt must be positive"),
         (lambda: integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=0.0), "t_end must be at least dt"),
         (lambda: integrate(_SI_START, ModelParams("SI", 1.0), _SELF_LOOP, t_end=1.0, dt=0.5, record_every=0),
          "record_every must be >= 1"),
         (lambda: late_time_decay_rates(_SI_RUN, (15.0, 30.0)), "window outside trajectory"),
         (lambda: late_time_decay_rates(_SI_RUN, (15.0, 15.4)), "window contains fewer than two samples"),
+        (lambda: late_time_decay_rates(_S_ZERO_RUN, (1.0, 2.0)), "susceptible fraction hit zero inside the window"),
+        (lambda: integrate(*_SIS_PAIR, t_end=float("nan"), dt=0.1), "t_end must be finite"),
+        (lambda: integrate(*_SIS_PAIR, t_end=float("nan")), "t_end must be finite"),
     ],
-    ids=["step_count-dt", "integrate-zero-t_end", "integrate-record_every", "decay-window-outside", "decay-window-one-sample"],
+    ids=["step_count-dt", "step_count-nan-dt", "integrate-zero-t_end", "integrate-record_every",
+         "decay-window-outside", "decay-window-one-sample", "decay-s-zero", "integrate-nan-t_end",
+         "integrate-nan-t_end-default-step"],
 )
 def test_bad_steps_and_windows_raise_input_error(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):

@@ -206,10 +206,11 @@ def test_endemic_matches_long_sis_integration():
         assert np.abs(traj.x[-1] - res.x_star).max() < 1e-5
 
 
-def test_near_threshold_warning():
-    g = symmetric_pair()  # lambda_max = 1
+def test_near_threshold_endemic_is_certified():
+    g = symmetric_pair()  # regular of degree 1: x* = 1 - gamma / beta at every node
     res = sis_endemic(g, 1.0 + 5e-4, 1.0, tol=1e-8)
-    assert any("near threshold" in w for w in res.warnings)
+    assert res.width <= 1e-8 and (res.x_star > 0).all()
+    np.testing.assert_allclose(res.x_star, 1.0 - 1.0 / 1.0005, rtol=0, atol=1e-8)
 
 
 def test_expansion_threshold_zero_delta():

@@ -6,6 +6,7 @@ from scipy.sparse.linalg import eigs
 from netepi import (
     Graph,
     InputError,
+    NonConvergenceError,
     ReducibleMatrixError,
     dominant_eig,
     effective_matrix,
@@ -13,6 +14,7 @@ from netepi import (
     sis_endemic,
     spectral_radius,
 )
+from netepi import spectral
 from netepi.spectral import DEFAULT_TOL
 
 from conftest import complete_graph, dense, directed_ring, random_sc_graph, symmetric_pair, two_node
@@ -320,3 +322,12 @@ def test_effective_matrix():
     with pytest.raises(ValueError):
         effective_matrix(np.ones(3), g)
 
+
+def test_power_iteration_gives_up_after_max_iter(monkeypatch):
+    # Unequal ring weights keep the uniform start off the eigenvector.
+    a = np.zeros((10, 10))
+    for i in range(10):
+        a[(i + 1) % 10, i] = 1.0 + 0.1 * i
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 5)
+    with pytest.raises(NonConvergenceError, match=r"^power iteration did not reach tol=2\.5e-13 within 5 iterations$"):
+        dominant_eig(Graph(a))
