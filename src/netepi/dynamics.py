@@ -415,16 +415,22 @@ def write_csv(fp, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
         fp.write(template % tuple(np.concatenate([b[k] for b in blocks]).tolist()))
 
 
+def _trajectory_header(n: int) -> list[str]:
+    """The columns of an n-node trajectory CSV: t, s_1..s_n, x_1..x_n, r_1..r_n."""
+    return ["t", *(f"{c}_{i}" for c in "sxr" for i in range(1, n + 1))]
+
+
 def write_trajectory_csv(traj: Trajectory, fp) -> None:
     """Write the trajectory as CSV: columns t, s_1..s_n, x_1..x_n, r_1..r_n."""
-    header = ["t", *(f"{c}_{i}" for c in "sxr" for i in range(1, traj.n + 1))]
-    write_csv(fp, header, (traj.times, traj.s, traj.x, traj.r))
+    write_csv(fp, _trajectory_header(traj.n), (traj.times, traj.s, traj.x, traj.r))
 
 
 def read_trajectory_csv(fp) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
-    Raises InputError unless the file holds at least one row, every value
+    Raises InputError unless the header is exactly the one
+    write_trajectory_csv writes for some n (the message names the first
+    column that differs), the file holds at least one row, every value
     is finite, the times increase strictly and every row is a state:
     entries in [0, 1] (integrate writes no other) and s + x + r within
     STATE_TOL of 1 at each node. The message names the first bad row.
@@ -441,6 +447,9 @@ def read_trajectory_csv(fp) -> Trajectory:
     if not cols or cols[0] != "t" or (len(cols) - 1) % 3 != 0:
         raise InputError("not a trajectory CSV: bad header")
     n = (len(cols) - 1) // 3
+    for k, (got, want) in enumerate(zip(cols, _trajectory_header(n)), start=1):
+        if got != want:
+            raise InputError(f"not a trajectory CSV: column {k} is {got!r}, expected {want!r}")
     if data.size == 0:
         raise InputError("trajectory CSV has a header but no rows")
     if data.shape[1] != 1 + 3 * n:

@@ -12,10 +12,10 @@ lane-major (B, n) block of vectors once, and ``transpose`` gives the graph
 of A' for products with the transpose. No dense matrix is ever built.
 
 ``load_graph`` parses in bulk with numpy, and a line scan names bad lines.
-The strongly connected components are found only when ``irreducible_parts``
+The strongly connected components are found each time ``irreducible_parts``
 is called: a capped edge sweep from one node settles a strongly connected
-support, and Tarjan's algorithm finds the components of any other; each
-graph caches the parts of the last support it was asked about.
+support, and Tarjan's algorithm finds the components of any other. A graph
+holds its edge arrays and nothing else, so reading it never writes to it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class Graph:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "_parts", {})  # last support -> irreducible_parts
 
     @property
     def nnz(self) -> int:
@@ -134,28 +133,19 @@ class Graph:
         graph's weights on the edges inside its component, renumbered to its
         nodes in order; a component of all n nodes is this graph itself.
         Components without an inner edge are single nodes with a zero
-        diagonal, and are left out. The parts of the last support asked for
-        are cached on this graph, so a repeated question is answered once:
-        the connectivity checks of the CLI and of sir_asymptotic, or
-        dominant_eig's check and then an R(t) series whose nodes are all
-        live. A cache miss runs the edge sweeps of _spanning_part, and
-        Tarjan's algorithm only when they do not answer. The cache holds
-        None for this graph itself, so a graph never refers to itself and is
-        freed without the cycle collector.
+        diagonal, and are left out. Each call makes one pass: the edge
+        sweeps of _spanning_part, and Tarjan's algorithm only when they do
+        not answer.
         """
         support = self.weights > 0
         if live is not None:
             support &= live[self.rows]
-        key = np.packbits(support).tobytes()
-        if key not in self._parts:
-            self._parts.clear()
-            parts = _spanning_part(self, support, live)
-            self._parts[key] = _component_parts(self, support) if parts is None else parts
-        return [(nodes, self if sub is None else sub) for nodes, sub in self._parts[key]]
+        parts = _spanning_part(self, support, live)
+        return _component_parts(self, support) if parts is None else parts
 
 
 def _spanning_part(g: Graph, support: np.ndarray, live) -> list | None:
-    """The cached parts of a support whose live nodes are strongly connected, else None.
+    """The parts of a support whose live nodes are strongly connected, else None.
 
     Sweeps from the first live node along the support's edges between live
     nodes, forward and backward, for at most REACH_ROUNDS rounds each.
@@ -175,7 +165,7 @@ def _spanning_part(g: Graph, support: np.ndarray, live) -> list | None:
         if _reached(g.n, tails, heads, nodes[0]) != nodes.size:
             return None
     if nodes.size == g.n:
-        return [(nodes, None)]
+        return [(nodes, g)]
     local = np.cumsum(live) - 1  # each live node's index among the live nodes
     return [(nodes, _edge_graph(nodes.size, local[rows], local[cols], g.weights[inner]))]
 
@@ -205,7 +195,7 @@ def _reached(n: int, tails: np.ndarray, heads: np.ndarray, root) -> int | None:
 
 
 def _component_parts(g: Graph, support: np.ndarray) -> list:
-    """The cached parts of any support, from one pass of Tarjan's algorithm."""
+    """The parts of any support, from one pass of Tarjan's algorithm."""
     # a[i, j] > 0 is an edge j -> i
     labels = _scc_labels(g.n, g.cols[support], g.rows[support])
     row_labels = labels[g.rows]
@@ -224,7 +214,7 @@ def _component_parts(g: Graph, support: np.ndarray) -> list:
     for c in np.flatnonzero(counts):
         nodes = by_label[first[c] : first[c + 1]]
         if nodes.size == g.n:
-            parts.append((nodes, None))
+            parts.append((nodes, g))
             continue
         edges = inner[first_edge[c] : first_edge[c + 1]]
         rows, cols = local[g.rows[edges]], local[g.cols[edges]]
@@ -440,8 +430,8 @@ def is_strongly_connected(g: Graph) -> bool:
 
     Equivalently, the adjacency matrix is irreducible, so every node has a
     positive in-edge (at n = 1, a positive self-loop): fewer positive edges
-    than nodes answer False at once. Otherwise reads g.irreducible_parts(),
-    one pass cached on g, by edge sweeps or else Tarjan's algorithm: the
+    than nodes answer False at once. Otherwise makes the one pass of
+    g.irreducible_parts(), by edge sweeps or else Tarjan's algorithm: the
     graph is strongly connected when its only part is g itself.
     """
     if np.count_nonzero(g.weights) < g.n:

@@ -210,8 +210,8 @@ def effective_matrix(s: np.ndarray, g: Graph) -> Graph:
 
     Each result is a new graph that pays its own SCC pass when its
     irreducible_parts are read. spectral_radius(g, s) gives the radii of a
-    whole series of these matrices without building them, on g's cached
-    parts, one SCC pass per zero set of the series.
+    whole series of these matrices without building them, on g's parts,
+    one SCC pass per zero set of the series.
     """
     s = require_fraction(s, "state vector")
     if s.shape != (g.n,):

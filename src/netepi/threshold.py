@@ -34,12 +34,13 @@ class ThresholdReport:
     a trajectory, if one was given (dynamics.sir_defect): an indicator that
     the rows are an SIR run at these rates, not an error bound.
     crossing_time is the first time R(t) drops below 1, if a trajectory was
-    given and it does. It is a linear interpolation between the R(t)
-    samples at the two recorded rows that bracket the crossing, so its
-    error is dominated by the row spacing, not by the samples' 1e-12
-    relative certificate: 4.5e-2 at a spacing of 0.8 on a 1000-node
-    outbreak, 8.0e-7 at 0.2 near threshold (R0 = 1.001, 500 nodes), against
-    a crossing from every integration step.
+    given and it does, and the first row's time if R(t) starts below 1.
+    Otherwise it is a linear interpolation between the R(t) samples at the
+    two recorded rows that bracket the crossing, so its error is dominated
+    by the row spacing, not by the samples' 1e-12 relative certificate:
+    4.5e-2 at a spacing of 0.8 on a 1000-node outbreak, 8.0e-7 at 0.2 near
+    threshold (R0 = 1.001, 500 nodes), against a crossing from every
+    integration step.
     """
 
     r0: float
@@ -94,15 +95,16 @@ def time_to_subthreshold(
 def subthreshold_crossing(times: np.ndarray, values: np.ndarray) -> float | None:
     """First time a sampled R(t) series drops below 1.
 
-    Linearly interpolated between the samples bracketing the crossing; 0 if
-    the series starts below 1; None if it never drops below 1.
+    Linearly interpolated between the samples bracketing the crossing; the
+    first sample's time if the series starts below 1; None if it never
+    drops below 1.
     """
     below = np.nonzero(values < 1.0)[0]
     if below.size == 0:
         return None
     k = int(below[0])
     if k == 0:
-        return 0.0
+        return float(times[0])
     r_prev, r_next = values[k - 1], values[k]
     frac = (r_prev - 1.0) / (r_prev - r_next)
     return float(times[k - 1] + frac * (times[k] - times[k - 1]))

@@ -125,7 +125,7 @@ def g20() -> Graph:
 
 
 class SccPasses(list):
-    """Node counts of the passes made at irreducible_parts cache misses.
+    """Node counts of the passes made by irreducible_parts, one per call.
 
     answers[k] names the search that answered pass k: 'frontier' when the
     frontier search of graph._spanning_part did, 'tarjan' when it fell back.

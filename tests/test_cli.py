@@ -623,7 +623,9 @@ def test_asymptotic_checks_the_graph_before_building_start_vectors(
 def test_equilibrium_commands_make_one_scc_pass(g20_file, capsys, scc_passes, command, extra):
     code = main([command, "--graph", g20_file, "--beta", "1.0", "--gamma", "1.0", *extra])
     assert code == 0
-    assert scc_passes == [20]
+    # asymptotic checks the graph before building its start vectors, and
+    # sir_asymptotic checks it again: one pass per check.
+    assert scc_passes == {"endemic": [20], "asymptotic": [20, 20]}[command]
 
 
 def test_missing_required_flag_exits_2(pair_graph, capsys):
@@ -1019,6 +1021,10 @@ _SIMULATE_PAIR = ["simulate", "--graph", "pair.txt", "--beta", "1", "--t-end", "
          "bad configuration: --s0 is required for scalar SIR"),
         (_THRESHOLD_TRAJ, {"traj.csv": "time,s_1,s_2,x_1,x_2,r_1,r_2\n0,1,1,0,0,0,0\n"}, 2,
          "bad configuration: not a trajectory CSV: bad header"),
+        (_THRESHOLD_TRAJ, {"traj.csv": "t,a,b,c,d,e,f\n0,1,1,0,0,0,0\n"}, 2,
+         "bad configuration: not a trajectory CSV: column 2 is 'a', expected 's_1'"),
+        (_THRESHOLD_TRAJ, {"traj.csv": "t,x_1,x_2,s_1,s_2,r_1,r_2\n0,0,0,1,1,0,0\n"}, 2,
+         "bad configuration: not a trajectory CSV: column 2 is 'x_1', expected 's_1'"),
         (_THRESHOLD_TRAJ, {"traj.csv": _PAIR_HEADER + "0,1,1,0,0,0,0,0\n"}, 2,
          "bad configuration: trajectory CSV rows do not match the header"),
         (_THRESHOLD_TRAJ, {"traj.csv": _PAIR_HEADER + "0,1,1,0,0,0,0\n0,1,1,0,0,0,0\n"}, 2,
@@ -1026,7 +1032,8 @@ _SIMULATE_PAIR = ["simulate", "--graph", "pair.txt", "--beta", "1", "--t-end", "
     ],
     ids=["config-not-object", "gamma-missing", "gamma-bad", "matrix-json", "seed-node-range",
          "SI-gamma", "sweep-no-out", "trajectory-n", "scalar-SIR-s0", "trajectory-header",
-         "trajectory-row-width", "trajectory-times"],
+         "trajectory-columns", "trajectory-plane-order", "trajectory-row-width",
+         "trajectory-times"],
 )
 def test_rejections_exit_with_their_message(tmp_path, monkeypatch, capsys, argv, files, code,
                                             message):

@@ -21,6 +21,7 @@ from netepi import (
     integrate,
     is_strongly_connected,
     load_graph,
+    spectral_radius,
 )
 from netepi import graph
 from netepi.graph import MAX_NODES, Graph
@@ -283,7 +284,7 @@ def test_sweep_reaches_the_closure_below_the_round_cap(n, cap, data):
 def test_long_ring_exhausts_the_frontier_cap(scc_passes):
     times = []
     for _ in range(3):
-        ring = load_graph(_ring_text(20_000))  # fresh: the parts are cached
+        ring = load_graph(_ring_text(20_000))
         start = time.perf_counter()
         assert is_strongly_connected(ring)
         times.append(time.perf_counter() - start)
@@ -298,12 +299,23 @@ def test_each_graph_pays_its_own_scc_pass_per_support(scc_passes):
     g = Graph(a)  # edges in order (0, 3), (1, 0), (2, 0), (2, 1), (3, 2)
     assert is_strongly_connected(g)
     assert is_strongly_connected(g)
-    g.irreducible_parts(np.ones(4, dtype=bool))  # the full support again: no pass
-    assert len(scc_passes) == 1
+    g.irreducible_parts(np.ones(4, dtype=bool))  # the full support again: a pass again
+    assert len(scc_passes) == 3
     assert is_strongly_connected(reweighted(g, [2.0, 3.0, 4.0, 5.0, 6.0]))
     assert not is_strongly_connected(reweighted(g, [1.0, 0.0, 1.0, 1.0, 1.0]))
     assert not is_strongly_connected(reweighted(g, [2.0, 0.0, 2.0, 2.0, 2.0]))
-    assert len(scc_passes) == 4  # one per reweighted graph, even on one support
+    assert len(scc_passes) == 6  # one per question, on any graph and any support
+
+
+def test_reading_a_graph_leaves_only_its_edge_arrays():
+    g = random_sc_graph(np.random.default_rng(7), n=10)
+    live = np.ones(10, dtype=bool)
+    live[3] = False
+    assert is_strongly_connected(g)
+    g.irreducible_parts(live)
+    dominant_eig(g)
+    spectral_radius(g, np.full((2, 10), 0.5))
+    assert set(vars(g)) == {"n", "rows", "cols", "weights"}
 
 
 def test_checked_graph_is_freed_without_the_cycle_collector():
@@ -564,7 +576,7 @@ def _ring_text(n: int, skip_first: bool = False) -> str:
 def test_directed_ring_connectivity_is_linear():
     times = []
     for _ in range(3):
-        ring = load_graph(_ring_text(20_000))  # fresh: the parts are cached
+        ring = load_graph(_ring_text(20_000))
         start = time.perf_counter()
         assert is_strongly_connected(ring)
         times.append(time.perf_counter() - start)

@@ -18,6 +18,7 @@ from netepi import (
 )
 from netepi import spectral
 from netepi.spectral import DEFAULT_TOL
+from netepi.threshold import subthreshold_crossing
 
 from conftest import complete_graph, dense, random_sc_graph, symmetric_pair, two_node
 
@@ -101,6 +102,13 @@ def test_seed_node_series_is_certified(seed):
         assert abs(values[k] - exact) <= 2e-12 * exact
 
 
+def test_series_starting_below_one_crosses_at_its_first_time():
+    times = np.array([3.0, 3.5, 4.0])
+    assert subthreshold_crossing(times, np.array([0.8, 0.7, 0.6])) == 3.0
+    assert subthreshold_crossing(times, np.array([1.2, 0.8, 0.6])) == 3.25
+    assert subthreshold_crossing(times, np.array([1.2, 1.1, 1.0])) is None
+
+
 def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
     g = random_sc_graph(np.random.default_rng(41), n=12)
     s = np.random.default_rng(42).uniform(0.5, 1.0, (8, 12))
@@ -112,13 +120,13 @@ def test_series_runs_one_scc_pass_per_zero_set(scc_passes):
     assert len(scc_passes) == 3
 
 
-def test_connectivity_check_and_positive_series_share_one_scc_pass(scc_passes):
+def test_connectivity_check_and_positive_series_pay_one_scc_pass_each(scc_passes):
     g = random_sc_graph(np.random.default_rng(43), n=12)
     s = np.random.default_rng(44).uniform(0.5, 1.0, (6, 12))
     traj = Trajectory(np.arange(6.0), s, 1.0 - s, np.zeros_like(s))
     assert is_strongly_connected(g)
     effective_r_series(traj, g, 1.0, 1.0)
-    assert len(scc_passes) == 1
+    assert len(scc_passes) == 2
 
 
 @pytest.mark.parametrize("width, calls", [(1, 9), (2, 5), (None, 2)])
