@@ -233,16 +233,16 @@ def _read_vector(path: str, n: int, name: str) -> np.ndarray:
         with warnings.catch_warnings():
             # An empty file is reported below as an InputError, not a warning.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            vec = np.loadtxt(path, comments="#", ndmin=1)
+            vec = np.loadtxt(path, comments="#", ndmin=2)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read {name} file: {e}") from e
-    if vec.ndim != 1:
+    if vec.shape[1] != 1:
         raise InputError(f"{name} file holds an array of shape {vec.shape}, not one value per line")
-    if vec.shape != (n,):
+    if vec.shape != (n, 1):
         raise InputError(f"{name} file holds {vec.shape[0]} values, graph has {n} nodes")
     if not np.all(np.isfinite(vec)):
         raise InputError(f"{name} file holds a non-finite value")
-    return vec
+    return vec[:, 0]
 
 
 def _check_initial(args: argparse.Namespace) -> None:

@@ -166,6 +166,7 @@ def rhs(state: EpidemicState, params: ModelParams, g: Graph):
 
     SIR takes u' = -gamma x from the field integrate solves, then the chain
     rule through s = H(u): ds = s (beta/gamma) A u', dx = u' - ds, dr = -u'.
+    An SI or SIS state with r != 0 anywhere raises InputError.
     """
     y, f, _, _ = _model(params.kind, params.beta, [params.gamma or 0.0], g, state)
     du = f(y, np.empty_like(y))[0]
@@ -185,9 +186,13 @@ def _model(kind: ModelKind, beta: float, gamma: Sequence[float], g: Graph, state
     which it may overwrite, into s, x and r. SI is SIS at gamma = 0 (P + 0.0
     is P bit for bit: bincount never returns -0.0); SIS is P - x (P + gamma)
     with P = beta A x, SIR is gamma (H(u) - u), each one product a call.
+    InputError if state0 and g differ in n, or an SI or SIS state0 has
+    r != 0: y would drop it.
     """
     if state0.n != g.n:
         raise InputError("state and graph dimensions differ")
+    if kind is not ModelKind.SIR and np.any(state0.r != 0):
+        raise InputError(f"{kind.value} has no recovered compartment")
     y = (1.0 - state0.r if kind is ModelKind.SIR else state0.x)[None].repeat(len(gamma), axis=0)
     # One rate per entry: same-shape operands take numpy's fast loops.
     rates = np.array(gamma, dtype=float).repeat(g.n).reshape(y.shape)
@@ -282,9 +287,10 @@ def integrate(
     max |u'| = gamma max x for SIR.
 
     Raises InputError unless t_end is a whole number of steps dt (see
-    step_count). Raises InvariantViolationError if a step leaves [0, 1]^n
-    (for SIR: u, or the derived x) by more than STATE_TOL (meaning dt
-    is too large) or produces NaN, in any row.
+    step_count), and if an SI or SIS state0 has r != 0 anywhere. Raises
+    InvariantViolationError if a step leaves [0, 1]^n (for SIR: u, or the
+    derived x) by more than STATE_TOL (meaning dt is too large) or
+    produces NaN, in any row.
     """
     batch = [params] if isinstance(params, ModelParams) else list(params)
     if not batch:
@@ -371,8 +377,9 @@ def initial_growth_approx(g: Graph, params: ModelParams, x0, t: float) -> np.nda
     if x0.shape != (g.n,):
         raise InputError("x0 and graph dimensions differ")
     trip = dominant_eig(g)
+    v = dominant_eig(g.transpose()).u_max  # left: v' A = lambda v'
     rate = params.beta * trip.lambda_max - (params.gamma or 0.0)
-    coef = float(trip.v_max @ x0) / float(trip.v_max @ trip.u_max)
+    coef = float(v @ x0) / float(v @ trip.u_max)
     return np.exp(rate * t) * coef * trip.u_max
 
 
@@ -429,8 +436,8 @@ def read_trajectory_csv(fp) -> Trajectory:
     """Read a trajectory written by write_trajectory_csv.
 
     Raises InputError unless the header is exactly the one
-    write_trajectory_csv writes for some n (the message names the first
-    column that differs), the file holds at least one row, every value
+    write_trajectory_csv writes for some n >= 1 (the message names the
+    first column that differs), the file holds at least one row, every value
     is finite, the times increase strictly and every row is a state:
     entries in [0, 1] (integrate writes no other) and s + x + r within
     STATE_TOL of 1 at each node. The message names the first bad row.
@@ -444,9 +451,9 @@ def read_trajectory_csv(fp) -> Trajectory:
     except ValueError as e:
         raise InputError(f"not a trajectory CSV: {e}") from e
     cols = header.strip().split(",")
-    if not cols or cols[0] != "t" or (len(cols) - 1) % 3 != 0:
+    n, rest = divmod(len(cols) - 1, 3)
+    if cols[0] != "t" or rest or n < 1:
         raise InputError("not a trajectory CSV: bad header")
-    n = (len(cols) - 1) // 3
     for k, (got, want) in enumerate(zip(cols, _trajectory_header(n)), start=1):
         if got != want:
             raise InputError(f"not a trajectory CSV: column {k} is {got!r}, expected {want!r}")

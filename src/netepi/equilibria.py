@@ -255,7 +255,7 @@ def sis_endemic_expansion_threshold(g: Graph, beta: float, gamma: float) -> np.n
     delta = beta * trip.lambda_max / gamma - 1.0
     if delta < 0:
         raise BelowThresholdError(f"R0 = {delta + 1.0:.6g} < 1: expansion does not apply")
-    u, v = trip.u_max, trip.v_max
+    u, v = trip.u_max, dominant_eig(g.transpose()).u_max
     a = float(v @ u) / float(v @ (u * u))
     return delta * a * u
 

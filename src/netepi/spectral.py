@@ -23,7 +23,8 @@ costs one O(n + nnz) product.
 
 The iteration is lane-major: it moves a (B, n) block of vectors, one row
 per matrix, with one product bound by Graph.block_product per step, and
-each row stops on its own test. dominant_eig and v_max run it with B = 1.
+each row stops on its own test. dominant_eig runs it with B = 1; the left
+Perron vector of A is the right one of A', dominant_eig(g.transpose()).u_max.
 spectral_radius takes a whole series of states s, such as the rows of an
 SIR trajectory, and runs it on blocks of the matrices diag(s[k]) A, so an
 R(t) series pays the per-step overhead once per block of samples instead
@@ -35,8 +36,7 @@ iteration gives up after DEFAULT_MAX_ITER steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,24 +80,15 @@ BLOCK_ENTRIES = 32768
 
 @dataclass(frozen=True)
 class SpectralTriple:
-    """Dominant eigenvalue with 1-normalized positive right and left eigenvectors.
+    """Dominant eigenvalue with its 1-normalized positive right eigenvector.
 
-    width certifies the eigenvalue: |lambda_max - rho(A)| <= width. v_max
-    costs a second power iteration, run on its first read.
+    width certifies the eigenvalue: |lambda_max - rho(A)| <= width. The left
+    vector, v' A = lambda v', is u_max of the transpose's triple.
     """
 
     lambda_max: float
-    u_max: np.ndarray  # right: A u  = lambda u
+    u_max: np.ndarray  # right: A u = lambda u
     width: float
-    graph: Graph = field(repr=False)
-
-    @cached_property
-    def v_max(self) -> np.ndarray:
-        """left: v' A = lambda v'."""
-        g = self.graph
-        start = _uniform(g.n)[None]
-        _, v, _ = _power_iteration(g.transpose().block_product(1), DEFAULT_TOL / 4, start)
-        return v[0]
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -116,10 +107,10 @@ def _power_iteration(product, tol, x):
     diag(s) A. Row k stops at the first step its ratios (M_k x)_i / x_i all
     lie within tol * lambda_k of lambda_k; a stopped row stays in the
     block, so every product has one shape, until the last row stops.
-    Returns length-B arrays lambda and width (largest ratio minus smallest)
-    and the (B, n) block of rows as each stopped; rho(M_k) lies within
-    width_k of lambda_k. For B = 1 this is the arithmetic of a single-vector
-    iteration.
+    Returns (lambda, block, width): the length-B array lambda, the (B, n)
+    block of rows as each stopped, and the length-B array width (largest
+    ratio minus smallest); rho(M_k) lies within width_k of lambda_k. For
+    B = 1 this is the arithmetic of a single-vector iteration.
     """
     lam, width, out = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
     pending = np.ones(len(x), dtype=bool)
@@ -143,20 +134,20 @@ def _power_iteration(product, tol, x):
 
 
 def dominant_eig(g: Graph) -> SpectralTriple:
-    """Dominant eigenvalue and eigenvectors of the irreducible matrix of g.
+    """Dominant eigenvalue and right eigenvector of the irreducible matrix of g.
 
     Runs shifted power iteration on A from the uniform start until every
     ratio (A u)_i / u_i lies within DEFAULT_TOL / 4 of lambda_max; the
     reported width bounds the distance to the spectral radius. The left
-    vector v_max is computed the same way on the transpose when first read.
+    vector is dominant_eig(g.transpose()).u_max, the same iteration on A'.
     Raises ReducibleMatrixError if g is not strongly connected and
     NonConvergenceError if DEFAULT_MAX_ITER iterations do not get there.
     """
     require_strongly_connected(g)
-    # A quarter of DEFAULT_TOL, so both eigen-residuals also hold against
-    # the single reported eigenvalue.
+    # A quarter of DEFAULT_TOL, so both eigen-residuals (u from g, v from
+    # g.transpose()) also hold against the single reported eigenvalue.
     lam, u, width = _power_iteration(g.block_product(1), DEFAULT_TOL / 4, _uniform(g.n)[None])
-    return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]), graph=g)
+    return SpectralTriple(lambda_max=float(lam[0]), u_max=u[0], width=float(width[0]))
 
 
 def spectral_radius(g: Graph, s) -> np.ndarray:

@@ -262,7 +262,7 @@ def test_criterion_8_threshold_dynamics(g20, seeded_sir_run):
         t_end=10.0,
         dt=0.002,
     )
-    weighted = traj.x @ trip.v_max
+    weighted = traj.x @ dominant_eig(g.transpose()).u_max
     envelope = weighted[0] * np.exp((beta * trip.lambda_max - gamma) * traj.times)
     assert np.all(weighted <= envelope * (1 + 1e-12) + 1e-15)
 

@@ -930,8 +930,9 @@ def test_scalar_rejects_flags_its_model_does_not_use(capsys, argv, unused):
         ("0.1 0.2\n0.3 0.4\n", "x0 file holds an array of shape (2, 2), not one value per line"),
         ("", "x0 file holds 0 values, graph has 2 nodes"),
         ("# no values\n", "x0 file holds 0 values, graph has 2 nodes"),
+        ("0.1 0.2\n", "x0 file holds an array of shape (1, 2), not one value per line"),
     ],
-    ids=["matrix", "empty", "comment-only"],
+    ids=["matrix", "empty", "comment-only", "one-line"],
 )
 def test_bad_vector_file_gives_one_error_line(pair_graph, tmp_path, text, message):
     x0 = tmp_path / "x0.txt"
@@ -1029,11 +1030,17 @@ _SIMULATE_PAIR = ["simulate", "--graph", "pair.txt", "--beta", "1", "--t-end", "
          "bad configuration: trajectory CSV rows do not match the header"),
         (_THRESHOLD_TRAJ, {"traj.csv": _PAIR_HEADER + "0,1,1,0,0,0,0\n0,1,1,0,0,0,0\n"}, 2,
          "bad configuration: trajectory times must be strictly increasing"),
+        (_THRESHOLD_TRAJ, {"traj.csv": "t\n0\n1\n"}, 2,
+         "bad configuration: not a trajectory CSV: bad header"),
+        (["asymptotic", "--graph", "pair.txt", *_SIR_RATES, "--x0-uniform", "0"], {}, 2,
+         "bad configuration: x0 must have at least one infected node"),
+        ([*_SIMULATE_PAIR, "--model", "SI", "--x0-uniform", "0.1", "--out", "run_{gamma}.csv"],
+         {}, 2, "bad configuration: SI has no gamma to fill {gamma} in --out"),
     ],
     ids=["config-not-object", "gamma-missing", "gamma-bad", "matrix-json", "seed-node-range",
          "SI-gamma", "sweep-no-out", "trajectory-n", "scalar-SIR-s0", "trajectory-header",
          "trajectory-columns", "trajectory-plane-order", "trajectory-row-width",
-         "trajectory-times"],
+         "trajectory-times", "trajectory-t-only", "asymptotic-no-infection", "SI-gamma-out"],
 )
 def test_rejections_exit_with_their_message(tmp_path, monkeypatch, capsys, argv, files, code,
                                             message):

@@ -74,6 +74,26 @@ def test_size_mismatches_raise_input_error(call, message):
         call(two_node())
 
 
+_RECOVERED = EpidemicState(s=[0.5, 0.5], x=[0.2, 0.2], r=[0.3, 0.3])
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda g: integrate(_RECOVERED, ModelParams("SIS", 1.0, 1.0), g, t_end=0.1, dt=0.1), "SIS"),
+        (lambda g: integrate(_RECOVERED, ModelParams("SI", 1.0), g, t_end=0.1, dt=0.1), "SI"),
+        (lambda g: rhs(_RECOVERED, ModelParams("SIS", 1.0, 1.0), g), "SIS"),
+        (lambda g: rhs(_RECOVERED, ModelParams("SI", 1.0), g), "SI"),
+        (lambda g: initial_state("SIS", [0.2, 0.2], [0.3, 0.3]), "SIS"),
+    ],
+    ids=["integrate-SIS", "integrate-SI", "rhs-SIS", "rhs-SI", "initial_state-SIS"],
+)
+def test_si_and_sis_reject_a_recovered_fraction(call, kind):
+    # Their field has no r, so a start with r != 0 would be run, and recorded, as r = 0.
+    with pytest.raises(InputError, match=f"^{kind} has no recovered compartment$"):
+        call(symmetric_pair())
+
+
 def test_state_copies_the_callers_vectors():
     x = np.array([0.1, 0.2])
     state = initial_state("SIS", x)
@@ -204,7 +224,7 @@ def test_sis_below_threshold_weighted_average_decays():
         t_end=8.0,
         dt=0.002,
     )
-    y = traj.x @ trip.v_max
+    y = traj.x @ dominant_eig(g.transpose()).u_max
     assert np.all(np.diff(y) < 0)  # strictly decreasing
     envelope = y[0] * np.exp((beta * trip.lambda_max - gamma) * traj.times)
     assert np.all(y <= envelope * (1 + 1e-12) + 1e-15)
@@ -278,7 +298,8 @@ def test_growth_approx_projection_at_t0():
         atol=1e-12,
     )
     x0 = np.array([0.01, 0.002])
-    coef = (trip.v_max @ x0) / (trip.v_max @ trip.u_max)
+    v = dominant_eig(g.transpose()).u_max
+    coef = (v @ x0) / (v @ trip.u_max)
     np.testing.assert_allclose(
         initial_growth_approx(g, params, x0, 0.0), coef * trip.u_max, atol=1e-14
     )
@@ -396,10 +417,12 @@ _SIS_PAIR = (initial_state("SIS", [0.1, 0.1]), ModelParams("SIS", 1.0, 1.0), sym
         (lambda: late_time_decay_rates(_S_ZERO_RUN, (1.0, 2.0)), "susceptible fraction hit zero inside the window"),
         (lambda: integrate(*_SIS_PAIR, t_end=float("nan"), dt=0.1), "t_end must be finite"),
         (lambda: integrate(*_SIS_PAIR, t_end=float("nan")), "t_end must be finite"),
+        (lambda: integrate(_SIS_PAIR[0], [], _SIS_PAIR[2], t_end=1.0, dt=0.1),
+         "need at least one parameter set"),
     ],
     ids=["step_count-dt", "step_count-nan-dt", "integrate-zero-t_end", "integrate-record_every",
          "decay-window-outside", "decay-window-one-sample", "decay-s-zero", "integrate-nan-t_end",
-         "integrate-nan-t_end-default-step"],
+         "integrate-nan-t_end-default-step", "integrate-no-params"],
 )
 def test_bad_steps_and_windows_raise_input_error(call, message):
     with pytest.raises(InputError, match=f"^{message}$"):

@@ -220,6 +220,12 @@ def test_expansion_threshold_zero_delta():
         sis_endemic_expansion_threshold(g, 0.8, 1.0)
 
 
+def test_expansion_threshold_below_threshold_names_r0():
+    g = two_node()  # lambda_max = 4
+    with pytest.raises(BelowThresholdError, match=r"^R0 = 0.9 < 1: expansion does not apply$"):
+        sis_endemic_expansion_threshold(g, 0.9 / 4.0, 1.0)
+
+
 def test_expansion_threshold_regular_graph():
     # k-regular: a = n so the expansion is delta * 1, exact state (delta/(1+delta)) 1
     g = complete_graph(5)  # k = 4

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -6,10 +8,12 @@ from scipy.sparse.linalg import eigs
 from netepi import (
     Graph,
     InputError,
+    ModelParams,
     NonConvergenceError,
     ReducibleMatrixError,
     dominant_eig,
     effective_matrix,
+    initial_growth_approx,
     reproduction_number,
     sis_endemic,
     spectral_radius,
@@ -32,17 +36,19 @@ def _radius(g):
 
 
 def test_symmetric_pair():
-    trip = dominant_eig(symmetric_pair())
+    g = symmetric_pair()
+    trip = dominant_eig(g)
     assert trip.lambda_max == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(trip.u_max, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(trip.v_max, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(dominant_eig(g.transpose()).u_max, [0.5, 0.5], atol=1e-12)
 
 
 def test_complete_graph_regular():
-    trip = dominant_eig(complete_graph(4))
+    g = complete_graph(4)
+    trip = dominant_eig(g)
     assert trip.lambda_max == pytest.approx(3.0, abs=1e-11)
     np.testing.assert_allclose(trip.u_max, [0.25] * 4, atol=1e-11)
-    np.testing.assert_allclose(trip.v_max, [0.25] * 4, atol=1e-11)
+    np.testing.assert_allclose(dominant_eig(g.transpose()).u_max, [0.25] * 4, atol=1e-11)
 
 
 def test_two_node_hand_solve():
@@ -54,7 +60,7 @@ def test_two_node_hand_solve():
     trip = dominant_eig(g)
     assert trip.lambda_max == pytest.approx(4.0, rel=1e-11)
     np.testing.assert_allclose(trip.u_max, [1 / 3, 2 / 3], atol=1e-11)
-    np.testing.assert_allclose(trip.v_max, [2 / 3, 1 / 3], atol=1e-11)
+    np.testing.assert_allclose(dominant_eig(g.transpose()).u_max, [2 / 3, 1 / 3], atol=1e-11)
 
 
 def test_weights_near_the_float_limit_certify_without_a_warning():
@@ -62,10 +68,12 @@ def test_weights_near_the_float_limit_certify_without_a_warning():
     # certifies, and RuntimeWarning is an error under this suite's filters.
     a = np.zeros((3, 3))
     a[0, 1] = a[0, 2] = a[1, 0] = a[2, 0] = 1e308
-    trip = dominant_eig(Graph(a))
+    g = Graph(a)
+    trip = dominant_eig(g)
     assert trip.lambda_max == pytest.approx(np.sqrt(2) * 1e308, rel=1e-11)
     assert trip.width <= DEFAULT_TOL * trip.lambda_max
-    np.testing.assert_allclose(trip.v_max, trip.u_max, rtol=1e-11)  # A is symmetric
+    v = dominant_eig(g.transpose()).u_max
+    np.testing.assert_allclose(v, trip.u_max, rtol=1e-11)  # A is symmetric
 
 
 def test_residual_invariants_and_normalization():
@@ -73,12 +81,13 @@ def test_residual_invariants_and_normalization():
         g = random_sc_graph(np.random.default_rng(seed), n=8)
         a = dense(g)
         trip = dominant_eig(g)
+        v = dominant_eig(g.transpose()).u_max
         lam = trip.lambda_max
         assert np.abs(a @ trip.u_max - lam * trip.u_max).max() <= TOL * lam
-        assert np.abs(trip.v_max @ a - lam * trip.v_max).max() <= TOL * lam
+        assert np.abs(v @ a - lam * v).max() <= TOL * lam
         assert trip.u_max.sum() == pytest.approx(1.0, abs=1e-12)
-        assert trip.v_max.sum() == pytest.approx(1.0, abs=1e-12)
-        assert trip.u_max.min() > 0 and trip.v_max.min() > 0
+        assert v.sum() == pytest.approx(1.0, abs=1e-12)
+        assert trip.u_max.min() > 0 and v.min() > 0
 
 
 def test_agrees_with_dense_eigensolver():
@@ -170,17 +179,18 @@ def test_agrees_with_scipy_on_hubs_bipartite_and_heavy_tailed_graphs(
 
     monkeypatch.setattr(Graph, "block_product", counted)
     a = make(np.random.default_rng(seed), n)
-    trip = dominant_eig(Graph(a))
+    g = Graph(a)
+    trip = dominant_eig(g)
     rho, u = _scipy_perron(a)
     _, v = _scipy_perron(a.T)
     assert abs(trip.lambda_max - rho) <= trip.width
     np.testing.assert_allclose(trip.u_max, u, rtol=0, atol=1e-11 * u.max())
-    np.testing.assert_allclose(trip.v_max, v, rtol=0, atol=1e-11 * v.max())
+    np.testing.assert_allclose(dominant_eig(g.transpose()).u_max, v, rtol=0, atol=1e-11 * v.max())
     if budget is not None:
         assert len(products) <= budget
 
 
-def test_left_vector_is_computed_only_when_read(monkeypatch):
+def test_endemic_and_r0_never_transpose_the_graph(monkeypatch):
     calls = []
     transpose = Graph.transpose
 
@@ -193,9 +203,17 @@ def test_left_vector_is_computed_only_when_read(monkeypatch):
     sis_endemic(g, 2.0 / dominant_eig(g).lambda_max, 1.0)
     reproduction_number(g, 1.0, 1.0)
     assert calls == []
+
+
+def test_a_triple_holds_only_its_three_numbers():
+    names = ["lambda_max", "u_max", "width"]
+    assert [f.name for f in dataclasses.fields(spectral.SpectralTriple)] == names
+    g = random_sc_graph(np.random.default_rng(5), n=30)
     trip = dominant_eig(g)
-    v = trip.v_max
-    assert calls == [1] and trip.v_max is v
+    sis_endemic(g, 2.0 / trip.lambda_max, 1.0)
+    reproduction_number(g, 1.0, 1.0)
+    initial_growth_approx(g, ModelParams("SI", 1.0), trip.u_max, 1.0)
+    assert set(vars(trip)) == set(names)
 
 
 def test_monotone_in_state_scaling():

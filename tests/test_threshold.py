@@ -246,5 +246,5 @@ def test_below_threshold_classification_matches_decay():
         t_end=10.0,
         dt=0.005,
     )
-    weighted = traj.x @ trip.v_max
+    weighted = traj.x @ dominant_eig(g.transpose()).u_max
     assert np.all(np.diff(weighted) < 0)
